@@ -139,7 +139,11 @@ impl GlobalLruCache {
                 }
             }
         }
-        self.entries.sort_unstable();
+        // Each process's pages come in page order, where a sweeping
+        // process leaves its ages in a few ascending runs; the stable sort
+        // merges runs instead of sorting from scratch. The keys are
+        // distinct, so the order is the unstable sort's.
+        self.entries.sort();
     }
 
     /// Pop up to `max` currently valid victims, grouped per process in
@@ -1093,6 +1097,45 @@ mod tests {
             e.stats().aggressive_evictions > 0,
             "pages were still evicted"
         );
+        k.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn global_lru_evicts_the_oldest_pages_of_any_process() {
+        let mut k = kernel(64);
+        let (a, b) = (ProcId(1), ProcId(2));
+        k.register_proc(a, 24);
+        k.register_proc(b, 24);
+        // a's pages get older with page number, b's younger, and the ages
+        // 0, 6, …, 42 belong to one page of each (the lower pid goes
+        // first).
+        let mut order = Vec::new();
+        for p in 0..24 {
+            for (pid, t) in [(a, 3 * (23 - p)), (b, 2 * p)] {
+                let t = SimTime::from_us(u64::from(t));
+                k.map_in(pid, PageNum(p), t).unwrap();
+                order.push((t, pid, PageNum(p)));
+            }
+        }
+        order.sort_unstable();
+        let pages = |r: std::ops::Range<usize>| order[r].iter().map(|&(_, pid, p)| (pid, p));
+        let evicted = |k: &Kernel| -> std::collections::BTreeSet<_> {
+            pages(0..order.len())
+                .filter(|&(pid, p)| !k.proc(pid).unwrap().pt.is_resident(p))
+                .collect()
+        };
+        let mut e = PagingEngine::new(PolicyConfig {
+            baseline: crate::policy::BaselineKind::GlobalLru,
+            ..PolicyConfig::original()
+        });
+        e.free_pages(&mut k, 10, NOW).unwrap();
+        assert_eq!(evicted(&k), pages(0..10).collect());
+        // The next-oldest page is used again after the snapshot: it is
+        // skipped, and the five after it go instead.
+        let (_, pid, page) = order[10];
+        k.touch(pid, page, false, NOW).unwrap();
+        e.free_pages(&mut k, 5, NOW).unwrap();
+        assert_eq!(evicted(&k), pages(0..10).chain(pages(11..16)).collect());
         k.check_invariants().unwrap();
     }
 

@@ -2,6 +2,7 @@
 //! recorder round-trips arbitrary flush orders, and the paging engine
 //! preserves kernel invariants under arbitrary switch/fault schedules.
 
+use agp_core::policy::BaselineKind;
 use agp_core::{PageRecorder, PagingEngine, PolicyConfig};
 use agp_mem::{Kernel, PageNum, ProcId, VmParams};
 use agp_sim::prop::{self, CASES};
@@ -79,18 +80,25 @@ fn recorder_compression_optimal() {
 const NPROCS: u32 = 2;
 const PAGES: u32 = 96;
 
-/// For every policy, any interleaving of faults, switches, replays
-/// and bg ticks leaves the kernel and the engine consistent, and plans'
-/// page counts stay within physical bounds. Each case runs 400 actions,
-/// weighted 3:1:1:1 toward faults; both invariant sweeps run after
-/// every action.
+/// For every policy, on either baseline, any interleaving of faults,
+/// switches, replays and bg ticks leaves the kernel and the engine
+/// consistent, and plans' page counts stay within physical bounds.
+/// Every odd case runs on the global-LRU baseline, every even one on the
+/// clock. Two processes of 96 pages share 64 frames, so almost every
+/// case reclaims. Each case runs 400 actions, weighted 3:1:1:1 toward
+/// faults; both invariant sweeps run after every action.
 #[test]
 fn engine_preserves_invariants() {
+    let mut case = 0u32;
     prop::check("engine_preserves_invariants", 48, |rng| {
-        let policy = PolicyConfig::paper_combinations()[rng.below(6) as usize];
+        let mut policy = PolicyConfig::paper_combinations()[rng.below(6) as usize];
+        if case % 2 == 1 {
+            policy.baseline = BaselineKind::GlobalLru;
+        }
+        case += 1;
         let mut k = Kernel::new(
             VmParams {
-                total_frames: 128,
+                total_frames: 64,
                 wired_frames: 0,
                 freepages_min: 4,
                 freepages_high: 8,

@@ -54,10 +54,11 @@ pub enum EvictOutcome {
 pub struct ProcMem {
     /// The page table.
     pub pt: PageTable,
-    /// Current working-set epoch (bumped each time the process is granted
-    /// a quantum).
-    epoch: u32,
-    /// Distinct pages referenced in the current epoch.
+    /// Whether the process has been granted a quantum. Each grant starts
+    /// a new working-set epoch in the page table.
+    started: bool,
+    /// Distinct pages referenced in the current epoch: each counts when
+    /// its epoch bit in the page table is first set.
     wss_current: usize,
     /// Distinct pages referenced in the last completed epoch — the paper's
     /// WSS estimate ("using the page references during the incoming
@@ -69,7 +70,7 @@ impl ProcMem {
     fn new(pages: usize) -> Self {
         ProcMem {
             pt: PageTable::new(pages),
-            epoch: 0,
+            started: false,
             wss_current: 0,
             wss_last: None,
         }
@@ -310,12 +311,10 @@ impl Kernel {
             // A write makes any swap copy stale; drop it (the Linux swap
             // cache frees the entry on write), so the invariant "dirty ⟹
             // no swap copy" holds.
-            pm.wss_current += pm
-                .pt
-                .touch_resident(first, hits, now, pm.epoch, write, |b| {
-                    swap_owner.remove(b);
-                    swap.free_block(b);
-                });
+            pm.wss_current += pm.pt.touch_resident(first, hits, now, write, |b| {
+                swap_owner.remove(b);
+                swap.free_block(b);
+            });
         }
         if hits == max {
             return Ok((hits, None));
@@ -356,7 +355,7 @@ impl Kernel {
             debug_assert!(false, "map_in of already-resident page {pid}/{p:?}");
             return Ok(MapInOutcome::Zeroed);
         }
-        let outcome = match pm.pt.map_in(p, now, pm.epoch) {
+        let outcome = match pm.pt.map_in(p, now) {
             Some(block) => MapInOutcome::Read { block },
             None => MapInOutcome::Zeroed,
         };
@@ -570,7 +569,7 @@ impl Kernel {
                 // Only chase pages that actually need reading (swapped
                 // out); resident swap copies are already in memory.
                 Some((owner, page)) if owner == pid && !pm.pt.is_resident(page) => {
-                    let read = pm.pt.map_in(page, now, pm.epoch);
+                    let read = pm.pt.map_in(page, now);
                     debug_assert_eq!(read, Some(b), "owner map matches the page table");
                     on_page(page);
                 }
@@ -591,10 +590,11 @@ impl Kernel {
     /// reference epoch and start a fresh one.
     pub fn quantum_started(&mut self, pid: ProcId) -> Result<(), MemError> {
         let pm = self.proc_mut(pid)?;
-        if pm.epoch > 0 || pm.wss_current > 0 {
+        if pm.started || pm.wss_current > 0 {
             pm.wss_last = Some(pm.wss_current);
         }
-        pm.epoch = pm.epoch.wrapping_add(1);
+        pm.started = true;
+        pm.pt.new_epoch();
         pm.wss_current = 0;
         Ok(())
     }

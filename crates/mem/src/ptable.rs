@@ -1,11 +1,12 @@
 //! Per-process page tables: page state, reference/dirty bits, age, and a
 //! per-process clock hand for Linux-2.2-style sweeps.
 //!
-//! The table is a structure of arrays: one swap-block slot, one age and
-//! one epoch per page, plus `u64`-word bitsets for the resident,
-//! referenced and dirty bits. Touch runs, clock sweeps and dirty sweeps
-//! work a word (64 pages) at a time. [`PageTable::state`] decodes one
-//! page into a [`PageState`] for code that wants the whole picture.
+//! The table is a structure of arrays: one swap-block slot and one age
+//! per page, plus `u64`-word bitsets for the resident, referenced, dirty
+//! and touched-this-epoch bits (about 16.5 bytes per page). Touch runs,
+//! clock sweeps and dirty sweeps work a word (64 pages) at a time.
+//! [`PageTable::state`] decodes one page into a [`PageState`] for code
+//! that wants the whole picture.
 
 use crate::types::PageNum;
 use agp_sim::SimTime;
@@ -25,9 +26,9 @@ pub struct Resident {
     /// page with a valid copy can be reclaimed with **no** I/O (Linux's
     /// swap cache); a dirty page never holds one (a write frees it).
     pub swap_copy: Option<u64>,
-    /// Working-set epoch of the most recent touch (see `Kernel` WSS
-    /// tracking).
-    pub epoch: u32,
+    /// Whether the page was mapped in or touched in the current
+    /// working-set epoch (see `Kernel` WSS tracking).
+    pub in_epoch: bool,
 }
 
 /// State of one virtual page.
@@ -105,14 +106,14 @@ pub struct PageTable {
     block: Vec<u64>,
     /// Instant of the most recent touch (meaningful while resident).
     last_ref: Vec<SimTime>,
-    /// Working-set epoch of the most recent touch (meaningful while
-    /// resident).
-    epoch: Vec<u32>,
     /// Residency bitset. The referenced and dirty bitsets are subsets of
     /// it: eviction clears both.
     present: Vec<u64>,
     referenced: Vec<u64>,
     dirty: Vec<u64>,
+    /// Pages mapped in or touched since the last [`PageTable::new_epoch`]
+    /// (meaningful while resident: `map_in` sets the bit again).
+    seen: Vec<u64>,
     resident: usize,
     dirty_resident: usize,
     /// Persistent clock position for sweep-style scans, so repeated sweeps
@@ -128,10 +129,10 @@ impl PageTable {
         PageTable {
             block: vec![NO_BLOCK; n],
             last_ref: vec![SimTime::ZERO; n],
-            epoch: vec![0; n],
             present: vec![0; words],
             referenced: vec![0; words],
             dirty: vec![0; words],
+            seen: vec![0; words],
             resident: 0,
             dirty_resident: 0,
             hand: 0,
@@ -193,7 +194,7 @@ impl PageTable {
                 dirty: self.is_dirty(p),
                 last_ref: self.last_ref[i],
                 swap_copy: self.block(p),
-                epoch: self.epoch[i],
+                in_epoch: Self::bit(&self.seen, i),
             })
         } else {
             self.block(p)
@@ -254,29 +255,26 @@ impl PageTable {
     }
 
     /// Touch the `len` pages from `first`, all of which must be resident:
-    /// set their reference bits, age and epoch, and on a `write` their
-    /// dirty bits. A write makes each newly dirtied page's swap copy
+    /// set their reference and epoch bits and their age, and on a `write`
+    /// their dirty bits. A write makes each newly dirtied page's swap copy
     /// stale; `stale` receives those blocks in page order, so a dirty page
     /// never holds a copy. Returns how many pages were not yet touched in
-    /// `epoch`.
+    /// the current epoch.
     pub(crate) fn touch_resident(
         &mut self,
         first: PageNum,
         len: usize,
         now: SimTime,
-        epoch: u32,
         write: bool,
         mut stale: impl FnMut(u64),
     ) -> usize {
         let range = first.idx()..first.idx() + len;
         self.last_ref[range.clone()].fill(now);
         let mut fresh = 0;
-        for e in &mut self.epoch[range.clone()] {
-            fresh += usize::from(*e != epoch);
-            *e = epoch;
-        }
         for (w, m) in word_spans(range.start, range.end) {
             debug_assert_eq!(self.present[w] & m, m, "touch of a non-resident page");
+            fresh += (m & !self.seen[w]).count_ones() as usize;
+            self.seen[w] |= m;
             self.referenced[w] |= m;
             if write {
                 let newly = m & !self.dirty[w];
@@ -294,17 +292,22 @@ impl PageTable {
     }
 
     /// Map non-resident page `p` into a frame at `now`: referenced, clean,
-    /// touched in `epoch`. A swapped page keeps its block as a clean copy;
-    /// the block is returned (it must be read in).
-    pub(crate) fn map_in(&mut self, p: PageNum, now: SimTime, epoch: u32) -> Option<u64> {
-        let (i, w, b) = (p.idx(), p.idx() / 64, 1u64 << (p.idx() % 64));
+    /// touched in the current epoch. A swapped page keeps its block as a
+    /// clean copy; the block is returned (it must be read in).
+    pub(crate) fn map_in(&mut self, p: PageNum, now: SimTime) -> Option<u64> {
+        let (w, b) = (p.idx() / 64, 1u64 << (p.idx() % 64));
         debug_assert!(!self.is_resident(p), "map_in of a resident page");
         self.present[w] |= b;
         self.referenced[w] |= b;
-        self.last_ref[i] = now;
-        self.epoch[i] = epoch;
+        self.seen[w] |= b;
+        self.last_ref[p.idx()] = now;
         self.resident += 1;
         self.block(p)
+    }
+
+    /// Start a new working-set epoch: no page has been touched in it yet.
+    pub(crate) fn new_epoch(&mut self) {
+        self.seen.fill(0);
     }
 
     /// Drop resident page `p` from its frame. A dirty page must be given
@@ -369,7 +372,7 @@ impl PageTable {
         max_collect: usize,
     ) -> (Vec<PageNum>, usize) {
         let n = self.len();
-        if n == 0 || max_collect == 0 {
+        if n == 0 {
             return (Vec::new(), 0);
         }
         let mut hand = hand % n;
@@ -397,8 +400,8 @@ mod tests {
     /// the touch a write).
     fn mapped(pt: &mut PageTable, pages: impl IntoIterator<Item = u32>, t: u64, dirty: bool) {
         for i in pages {
-            pt.map_in(PageNum(i), SimTime::from_us(t), 0);
-            pt.touch_resident(PageNum(i), 1, SimTime::from_us(t), 0, dirty, |_| {});
+            pt.map_in(PageNum(i), SimTime::from_us(t));
+            pt.touch_resident(PageNum(i), 1, SimTime::from_us(t), dirty, |_| {});
         }
     }
 
@@ -431,7 +434,8 @@ mod tests {
         let mut pt = PageTable::new(3);
         mapped(&mut pt, [0], 5, true);
         pt.evict(PageNum(0), Some(7));
-        assert_eq!(pt.map_in(PageNum(0), SimTime::from_us(6), 3), Some(7));
+        pt.new_epoch();
+        assert_eq!(pt.map_in(PageNum(0), SimTime::from_us(6)), Some(7));
         assert_eq!(
             pt.state(PageNum(0)),
             PageState::Resident(Resident {
@@ -439,10 +443,10 @@ mod tests {
                 dirty: false,
                 last_ref: SimTime::from_us(6),
                 swap_copy: Some(7),
-                epoch: 3,
+                in_epoch: true,
             })
         );
-        assert_eq!(pt.map_in(PageNum(1), T, 0), None);
+        assert_eq!(pt.map_in(PageNum(1), T), None);
         assert_eq!(pt.state(PageNum(2)), PageState::Untouched);
     }
 
@@ -520,11 +524,11 @@ mod tests {
         }
         let mut freed = Vec::new();
         let t = SimTime::from_us(2);
-        pt.touch_resident(PageNum(60), 70, t, 1, true, |b| freed.push(b));
+        pt.touch_resident(PageNum(60), 70, t, true, |b| freed.push(b));
         assert_eq!(freed, (1060..1130).collect::<Vec<u64>>());
         assert_eq!(pt.dirty_resident(), 70);
         // Already dirty: a second write run has nothing left to free.
-        pt.touch_resident(PageNum(60), 70, t, 1, true, |b| freed.push(b));
+        pt.touch_resident(PageNum(60), 70, t, true, |b| freed.push(b));
         assert_eq!(freed.len(), 70);
         assert!((60..130).all(|i| pt.block(PageNum(i)).is_none()));
     }
@@ -534,9 +538,12 @@ mod tests {
         let mut pt = PageTable::new(100);
         mapped(&mut pt, 0..100, 1, false);
         let t = SimTime::from_us(2);
-        assert_eq!(pt.touch_resident(PageNum(0), 70, t, 1, false, |_| {}), 70);
-        assert_eq!(pt.touch_resident(PageNum(50), 50, t, 1, false, |_| {}), 30);
-        assert_eq!(pt.touch_resident(PageNum(50), 0, t, 2, false, |_| {}), 0);
+        assert_eq!(pt.touch_resident(PageNum(0), 70, t, false, |_| {}), 0);
+        pt.new_epoch();
+        assert_eq!(pt.touch_resident(PageNum(0), 70, t, false, |_| {}), 70);
+        assert_eq!(pt.touch_resident(PageNum(50), 50, t, false, |_| {}), 30);
+        pt.new_epoch();
+        assert_eq!(pt.touch_resident(PageNum(50), 0, t, false, |_| {}), 0);
     }
 
     #[test]
@@ -598,6 +605,15 @@ mod tests {
         let (v, hand) = pt.dirty_sweep(hand, 10, 100);
         assert_eq!(v, [3, 6, 9].map(PageNum));
         assert_eq!(hand, 11);
+    }
+
+    #[test]
+    fn dirty_sweep_without_room_keeps_the_hand() {
+        let mut pt = PageTable::new(150);
+        mapped(&mut pt, 0..150, 1, true);
+        assert_eq!(pt.dirty_sweep(140, 30, 0), (Vec::new(), 140));
+        assert_eq!(pt.dirty_sweep(170, 30, 0), (Vec::new(), 20), "hand wraps");
+        assert_eq!(pt.dirty_sweep(140, 0, 5), (Vec::new(), 140));
     }
 
     #[test]

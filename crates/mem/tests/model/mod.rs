@@ -82,7 +82,6 @@ struct Model {
     pages: Vec<PageState>,
     hand: usize,
     swap: ExtentSwap,
-    epoch: u32,
     wss: usize,
 }
 
@@ -104,7 +103,7 @@ impl Model {
             dirty: false,
             last_ref: now,
             swap_copy,
-            epoch: self.epoch,
+            in_epoch: true,
         });
         self.wss += 1;
     }
@@ -132,8 +131,8 @@ impl Model {
                     self.swap.free_block(b);
                 }
             }
-            if r.epoch != self.epoch {
-                r.epoch = self.epoch;
+            if !r.in_epoch {
+                r.in_epoch = true;
                 self.wss += 1;
             }
             self.pages[i] = PageState::Resident(r);
@@ -233,9 +232,6 @@ impl Model {
         max_collect: usize,
     ) -> (Vec<PageNum>, usize) {
         let n = self.pages.len();
-        if max_collect == 0 {
-            return (Vec::new(), 0);
-        }
         let (mut hand, mut out, mut scanned) = (hand % n, Vec::new(), 0);
         while scanned < max_scan.min(n) && out.len() < max_collect {
             if self.resident(hand).is_some_and(|r| r.dirty) {
@@ -290,7 +286,6 @@ pub fn check_ops(n: usize, ops: &[Op]) -> Result<(), String> {
         pages: vec![PageState::Untouched; n],
         hand: 0,
         swap: ExtentSwap::new(SWAP_BLOCKS),
-        epoch: 0,
         wss: 0,
     };
     let err = |e: agp_mem::MemError| e.to_string();
@@ -348,7 +343,11 @@ pub fn check_ops(n: usize, ops: &[Op]) -> Result<(), String> {
             }
             Op::Quantum => {
                 k.quantum_started(PID).map_err(err)?;
-                m.epoch = m.epoch.wrapping_add(1);
+                for s in &mut m.pages {
+                    if let PageState::Resident(r) = s {
+                        r.in_epoch = false;
+                    }
+                }
                 m.wss = 0;
             }
             Op::Fault { page, limit } => {

@@ -28,6 +28,10 @@ cargo fmt --check
 # entropy, thread-local and interior-mutable state, panics in library
 # code and unsafe code (DESIGN.md §8).
 cargo clippy --workspace -- -D warnings
+# Tests and examples too, without -D warnings: their
+# unwrap/expect warnings stay warnings, and deny-level lints (an
+# always-true comparison, say) fail the gate.
+cargo clippy --workspace --all-targets
 # The rules must stay able to fire: the hazard fixture seeds one site per
 # hazard class, and clippy must reject exactly the marked lines.
 bash tests/hazards/check.sh
