@@ -32,9 +32,7 @@ use agp_faults::FaultPlan;
 use agp_metrics::report::{bar_chart, sparkline};
 use agp_metrics::{BenchManifest, ParityManifest, Table};
 use agp_obs::flight::{self, FlightConfig};
-use agp_obs::{
-    shared, BudgetedSink, ChunkedJsonlWriter, Collector, JsonlWriter, ObsLink, SharedSink,
-};
+use agp_obs::{shared, Collector, JsonlWriter, ObsLink, RingBuffer, SharedSink};
 use agp_sim::SimDur;
 use agp_telemetry::PerfettoTrace;
 use agp_workload::{Benchmark, Class, WorkloadSpec};
@@ -185,8 +183,7 @@ fn print_usage() {
          \x20 --policy P                        orig | subset of so,ao,ai,bg (default so/ao/ai/bg)\n\
          \x20 --top N                           span-table rows (default 12)\n\
          \x20 --json PATH                       write the full profile as deterministic JSON\n\
-         \x20 --collapsed PATH                  write collapsed stacks (flamegraph.pl / inferno input)\n\
-         \x20 --prometheus PATH                 write the Prometheus text exposition\n\n\
+         \x20 --collapsed PATH                  write collapsed stacks (flamegraph.pl / inferno input)\n\n\
          TOP OPTIONS:\n\
          \x20 --scale paper|quick               testbed geometry or CI-sized (default: quick)\n\
          \x20 --policy P                        orig | subset of so,ao,ai,bg (default so/ao/ai/bg)\n\
@@ -658,17 +655,15 @@ fn cmd_sim(args: &[String]) -> Result<(), String> {
     // A Collector rides along whenever faults are injected so the run can
     // report what actually fired (observers never perturb the sim).
     let collector = cfg.faults.is_some().then(|| shared(Collector::new()));
-    // Without a budget, --events streams the full trace through the
-    // chunked writer (memory stays O(chunk) regardless of run length).
+    // Without a budget, --events streams the full trace through a
+    // buffered writer (memory stays O(buffer) regardless of run length).
     // With --obs-budget K, a last-K ring rides along instead and the
     // retained window is written out after the run.
-    let budget = obs_budget.map(|k| shared(BudgetedSink::new(k)));
+    let budget = obs_budget.map(|k| shared(RingBuffer::new(k)));
     let writer = match &events {
         Some(path) if budget.is_none() => {
             let file = std::fs::File::create(path).map_err(|e| format!("--events {path}: {e}"))?;
-            Some(shared(ChunkedJsonlWriter::new(std::io::BufWriter::new(
-                file,
-            ))))
+            Some(shared(JsonlWriter::new(std::io::BufWriter::new(file))))
         }
         _ => None,
     };
@@ -704,10 +699,15 @@ fn cmd_sim(args: &[String]) -> Result<(), String> {
         let b = unwrap_sink(sink)?;
         // Truncation is never silent: the retention summary prints even
         // when nothing was dropped.
-        eprintln!("obs budget: {}", b.summary());
+        eprintln!(
+            "obs budget: kept {} of {} events ({} dropped by --obs-budget)",
+            b.len(),
+            b.total_seen(),
+            b.dropped()
+        );
         if let Some(path) = &events {
             let mut out = String::with_capacity(b.len() * 64);
-            for te in b.retained() {
+            for te in b.events() {
                 out.push_str(&te.event.to_json_line(te.at, te.src));
                 out.push('\n');
             }
@@ -764,20 +764,22 @@ fn cmd_sim(args: &[String]) -> Result<(), String> {
     }
     if let Some(sink) = collector {
         let c = unwrap_sink(sink)?;
-        print_fault_summary(&c.counters);
+        print_fault_summary(&c.counters, &r);
     }
     Ok(())
 }
 
-/// What the injected faults and the recovery machinery did, from the
-/// ride-along collector's chaos counters.
-fn print_fault_summary(c: &agp_obs::ObsCounters) {
+/// What the injected faults and the recovery machinery did: disk faults
+/// from the run's disk statistics, recovery from the ride-along
+/// collector's chaos counters.
+fn print_fault_summary(c: &agp_obs::ObsCounters, r: &agp_cluster::RunResult) {
+    let disks = r.nodes.iter().map(|n| &n.disk);
     println!(
         "faults: {} disk errors ({} retries), {}us slowdown penalty, {} barrier timeouts, \
          {} mem-pressure pages",
-        c.fault_disk_errors,
+        disks.clone().map(|d| d.errors).sum::<u64>(),
         c.fault_io_retries,
-        c.fault_disk_slow_us,
+        disks.map(|d| d.slow_penalty.as_us()).sum::<u64>(),
         c.fault_barrier_timeouts,
         c.fault_mem_pressure_pages
     );
@@ -954,7 +956,7 @@ fn cmd_chaos(args: &[String]) -> Result<ExitCode, String> {
         // The counter-tiling audit (same invariant the fuzz harness
         // enforces): retries tile disk errors exactly, degradations and
         // restarts stay within their budgets.
-        if let Some(violation) = agp_cluster::counter_tiling_violation(&counters, cfg.nodes) {
+        if let Some(violation) = agp_cluster::counter_tiling_violation(&counters, &r) {
             return Err(format!("verify: counter tiling violated: {violation}"));
         }
         println!("verify: fault counters tile (retries == errors, degradations within bounds)");
@@ -980,7 +982,7 @@ fn cmd_chaos(args: &[String]) -> Result<ExitCode, String> {
             j.iterations
         );
     }
-    print_fault_summary(&counters);
+    print_fault_summary(&counters, &r);
     if check_invariants {
         println!(
             "invariants: {} sweeps over {} node(s), zero violations",
@@ -1096,7 +1098,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
 }
 
 /// Self-profile one experiment run: hot-span table, throughput gauges,
-/// and the flamegraph / JSON / Prometheus exports.
+/// and the flamegraph / JSON exports.
 fn cmd_perf(args: &[String]) -> Result<(), String> {
     let mut id: Option<String> = None;
     let mut scale = Scale::Quick;
@@ -1104,7 +1106,6 @@ fn cmd_perf(args: &[String]) -> Result<(), String> {
     let mut top = 12usize;
     let mut json_out: Option<String> = None;
     let mut collapsed_out: Option<String> = None;
-    let mut prom_out: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let mut val = |name: &str| -> Result<&String, String> {
@@ -1116,14 +1117,13 @@ fn cmd_perf(args: &[String]) -> Result<(), String> {
             "--top" => top = val("--top")?.parse().map_err(|e| format!("--top: {e}"))?,
             "--json" => json_out = Some(val("--json")?.clone()),
             "--collapsed" => collapsed_out = Some(val("--collapsed")?.clone()),
-            "--prometheus" => prom_out = Some(val("--prometheus")?.clone()),
             other if other.starts_with("--") => return Err(format!("unknown option '{other}'")),
             other => id = Some(other.to_string()),
         }
     }
     let id = id.ok_or(
         "usage: agp perf <id> [--scale paper|quick] [--policy P] [--top N] \
-         [--json PATH] [--collapsed PATH] [--prometheus PATH]",
+         [--json PATH] [--collapsed PATH]",
     )?;
     let mut cfg = profile_config(&id, scale)
         .ok_or_else(|| format!("no experiment '{id}' (see `agp list`)"))?;
@@ -1216,11 +1216,6 @@ fn cmd_perf(args: &[String]) -> Result<(), String> {
     if let Some(path) = &collapsed_out {
         std::fs::write(path, rep.collapsed()).map_err(|e| format!("--collapsed {path}: {e}"))?;
         eprintln!("wrote collapsed stacks to {path} (flamegraph.pl / inferno-flamegraph input)");
-    }
-    if let Some(path) = &prom_out {
-        std::fs::write(path, agp_perf::render_prometheus(&rep))
-            .map_err(|e| format!("--prometheus {path}: {e}"))?;
-        eprintln!("wrote Prometheus exposition to {path}");
     }
     Ok(())
 }
@@ -1867,29 +1862,36 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     }
     println!("{table}");
 
-    let n = c.counters;
+    // Paging and disk counts are the run's; the collector adds what only
+    // the event stream carries (event and bg-burst totals, barriers).
+    let es = r.total_engine_stats();
+    let disk = |f: fn(&agp_disk::DiskStats) -> u64| r.nodes.iter().map(|n| f(&n.disk)).sum::<u64>();
     println!(
         "events {}: {} major faults ({} serviced, {} readahead pages), {} evictions \
          ({} false, {} recorded), {} reclaim runs freeing {}, {} aggressive, \
          {} replayed ({} skipped), {} bg bursts cleaning {}",
-        n.events,
-        n.faults_major,
-        n.majors_serviced,
-        n.readahead_pages,
-        n.evictions,
-        n.false_evictions,
-        n.recorded_evictions,
-        n.reclaim_runs,
-        n.reclaim_freed,
-        n.aggressive_pages,
-        n.replayed_pages,
-        n.replay_skipped,
-        n.bg_ticks,
-        n.bg_pages,
+        c.counters.events,
+        es.major_faults,
+        es.major_faults,
+        es.readahead_pages,
+        es.reclaimed_pages,
+        es.false_evictions,
+        es.recorded_pages,
+        es.reclaim_calls,
+        es.reclaimed_pages - es.aggressive_evictions,
+        es.aggressive_evictions,
+        es.replayed_pages,
+        es.replay_skipped,
+        c.counters.bg_ticks,
+        r.nodes.iter().map(|n| n.bg_cleaned_pages).sum::<u64>(),
     );
     println!(
         "disk: {} reads ({} pages), {} writes ({} pages); {} barriers",
-        n.disk_reads, n.disk_pages_read, n.disk_writes, n.disk_pages_written, n.barriers
+        disk(|d| d.read_requests),
+        disk(|d| d.pages_read),
+        disk(|d| d.write_requests),
+        disk(|d| d.pages_written),
+        c.barrier_skew.count()
     );
 
     for (name, h) in [
@@ -1906,13 +1908,32 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
         println!(
             "\n{name}: n={}  mean={}us  p50={}us  p90={}us  p99={}us  max={}us",
             h.count(),
-            h.mean_us(),
-            h.p50_us(),
-            h.p90_us(),
-            h.p99_us(),
-            h.max_us()
+            h.mean(),
+            h.p50(),
+            h.p90(),
+            h.p99(),
+            h.max()
         );
-        print!("{}", bar_chart(&h.rows()));
+        let rows: Vec<(String, u64)> = h
+            .rows()
+            .into_iter()
+            .map(|(lo, n)| (us_label(lo), n))
+            .collect();
+        print!("{}", bar_chart(&rows));
     }
     Ok(())
+}
+
+/// Bar-chart label for a µs histogram bucket's lower bound (`0`, `1us`,
+/// `512us`, `1ms`, `1s`, …).
+fn us_label(lo: u64) -> String {
+    if lo == 0 {
+        "0".to_string()
+    } else if lo >= 1_000_000 {
+        format!("{}s", lo / 1_000_000)
+    } else if lo >= 1_000 {
+        format!("{}ms", lo / 1_000)
+    } else {
+        format!("{lo}us")
+    }
 }

@@ -3,9 +3,9 @@
 //! [`classify`] runs one configuration **twice** under an armed flight
 //! recorder and maps the outcome pair onto the closed
 //! [`Verdict`](agp_faults::fuzz::Verdict) taxonomy. Two runs because
-//! nondeterminism is itself a verdict: the traces, counters, errors, and
-//! incident dumps of both runs must agree byte for byte, or the finding
-//! is `Nondeterministic` regardless of how either run ended.
+//! nondeterminism is itself a verdict: the traces, errors, and incident
+//! dumps of both runs must agree byte for byte, or the finding is
+//! `Nondeterministic` regardless of how either run ended.
 //!
 //! The harness owns the process-global flight recorder while it runs
 //! (arming, collecting the incident, disarming), so callers must not
@@ -56,25 +56,27 @@ pub struct VerdictReport {
     pub incident: Option<IncidentDump>,
 }
 
-/// The fault/recovery counter-tiling invariant (audited here and by
-/// `agp chaos --verify`):
+/// The fault/recovery counter-tiling invariant of a *completed* run
+/// (audited here and by `agp chaos --verify`):
 ///
 /// * every injected disk error schedules exactly one retry, and
 ///   exhausted budgets force the attempt through as a success — so
-///   `fault_io_retries` must equal `fault_disk_errors` (attempts minus
-///   successes) on any *completed* run;
+///   `fault_io_retries` must equal the disks' error count (attempts
+///   minus successes);
 /// * adaptive page-in degrades a node at most once, so
 ///   `fault_ai_degrades` is bounded by the node count;
 /// * a node restarts only after a crash, so restarts never exceed
 ///   crashes.
-pub fn counter_tiling_violation(c: &ObsCounters, nodes: u32) -> Option<String> {
-    if c.fault_io_retries != c.fault_disk_errors {
+pub fn counter_tiling_violation(c: &ObsCounters, r: &RunResult) -> Option<String> {
+    let disk_errors: u64 = r.nodes.iter().map(|n| n.disk.errors).sum();
+    if c.fault_io_retries != disk_errors {
         return Some(format!(
-            "io retries ({}) != disk errors ({}): a retry was dropped or double-counted",
-            c.fault_io_retries, c.fault_disk_errors
+            "io retries ({}) != disk errors ({disk_errors}): a retry was dropped or double-counted",
+            c.fault_io_retries
         ));
     }
-    if c.fault_ai_degrades > u64::from(nodes) {
+    let nodes = r.nodes.len();
+    if c.fault_ai_degrades > nodes as u64 {
         return Some(format!(
             "ai degradations ({}) exceed node count ({nodes}): a node degraded twice",
             c.fault_ai_degrades
@@ -159,12 +161,12 @@ pub fn classify_with(cfg: &ClusterConfig, watch: &FlightConfig) -> Result<Verdic
             (Verdict::InvariantViolation, e.to_string())
         }
         Err(e) => (Verdict::TypedError, e.to_string()),
-        Ok(_) => match counter_tiling_violation(&a.counters, cfg.nodes) {
+        Ok(r) => match counter_tiling_violation(&a.counters, r) {
             Some(violation) => (
                 Verdict::InvariantViolation,
                 format!("counter tiling: {violation}"),
             ),
-            None if faults_fired(&a.counters) => (Verdict::Recovered, String::new()),
+            None if faults_fired(&a.counters, r) => (Verdict::Recovered, String::new()),
             None => (Verdict::Clean, String::new()),
         },
     };
@@ -179,10 +181,13 @@ pub fn classify_with(cfg: &ClusterConfig, watch: &FlightConfig) -> Result<Verdic
     })
 }
 
-fn faults_fired(c: &ObsCounters) -> bool {
-    c.fault_disk_errors
-        + c.fault_disk_slow_us
-        + c.fault_io_retries
+fn faults_fired(c: &ObsCounters, r: &RunResult) -> bool {
+    let disk: u64 = r
+        .nodes
+        .iter()
+        .map(|n| n.disk.errors + n.disk.slow_penalty.as_us())
+        .sum();
+    disk + c.fault_io_retries
         + c.fault_node_crashes
         + c.fault_node_restarts
         + c.fault_jobs_requeued
@@ -193,11 +198,10 @@ fn faults_fired(c: &ObsCounters) -> bool {
 }
 
 fn divergence(a: &RunCapture, b: &RunCapture) -> Option<&'static str> {
+    // The collector's counters are a function of the delivered events,
+    // so equal traces imply equal counters.
     if a.trace != b.trace {
         return Some("event traces");
-    }
-    if format!("{:?}", a.counters) != format!("{:?}", b.counters) {
-        return Some("fault counters");
     }
     let err_of = |r: &RunCapture| r.outcome.as_ref().err().map(|e| e.to_string());
     if err_of(a) != err_of(b) {
@@ -265,11 +269,14 @@ mod tests {
     #[test]
     fn surviving_faults_classify_as_recovered_with_tiling_counters() {
         let _g = hub_lock();
-        let report = classify(&cfg_with(FaultPlan::smoke(3))).unwrap();
+        let cfg = cfg_with(FaultPlan::smoke(3));
+        let report = classify(&cfg).unwrap();
+        // Recovered means the faults fired and the counters tiled.
         assert_eq!(report.verdict, Verdict::Recovered, "{}", report.detail);
-        assert!(faults_fired(&report.counters));
+        let r = crate::run(cfg).unwrap();
+        assert!(faults_fired(&report.counters, &r));
         assert_eq!(
-            counter_tiling_violation(&report.counters, 2),
+            counter_tiling_violation(&report.counters, &r),
             None,
             "smoke recovery must tile"
         );
@@ -309,17 +316,37 @@ mod tests {
 
     #[test]
     fn tiling_violations_are_detected() {
+        // Two nodes whose disks failed 3 requests between them.
+        let node = |errors| crate::NodeReport {
+            disk: agp_disk::DiskStats {
+                errors,
+                ..Default::default()
+            },
+            engine: Default::default(),
+            bg_cleaned_pages: 0,
+            trace: agp_metrics::ActivityTrace::new(SimDur::from_secs(1)),
+        };
+        let r = RunResult {
+            policy: PolicyConfig::full(),
+            mode: ScheduleMode::Gang,
+            seed: 0,
+            jobs: Vec::new(),
+            makespan: SimDur::ZERO,
+            nodes: vec![node(1), node(2)],
+            switches: 0,
+            events: 0,
+            invariant_checks: 0,
+        };
         let mut c = ObsCounters {
-            fault_disk_errors: 3,
             fault_io_retries: 2,
             ..ObsCounters::default()
         };
-        assert!(counter_tiling_violation(&c, 2)
+        assert!(counter_tiling_violation(&c, &r)
             .expect("mismatch detected")
             .contains("retries"));
         c.fault_io_retries = 3;
-        assert_eq!(counter_tiling_violation(&c, 2), None);
+        assert_eq!(counter_tiling_violation(&c, &r), None);
         c.fault_ai_degrades = 3;
-        assert!(counter_tiling_violation(&c, 2).is_some());
+        assert!(counter_tiling_violation(&c, &r).is_some());
     }
 }

@@ -165,17 +165,7 @@ impl RunResult {
     pub fn total_engine_stats(&self) -> EngineStats {
         let mut acc = EngineStats::default();
         for n in &self.nodes {
-            let s = n.engine;
-            acc.major_faults += s.major_faults;
-            acc.minor_faults += s.minor_faults;
-            acc.readahead_pages += s.readahead_pages;
-            acc.reclaim_calls += s.reclaim_calls;
-            acc.reclaimed_pages += s.reclaimed_pages;
-            acc.false_evictions += s.false_evictions;
-            acc.aggressive_evictions += s.aggressive_evictions;
-            acc.recorded_pages += s.recorded_pages;
-            acc.replayed_pages += s.replayed_pages;
-            acc.replay_skipped += s.replay_skipped;
+            acc += n.engine;
         }
         acc
     }

@@ -26,7 +26,7 @@
 //! simulated time, against 5-minute quanta). Kernel state is updated
 //! eagerly at dispatch, so the overlap has no correctness consequence.
 
-use agp_core::PagingEngine;
+use agp_core::{EngineStats, PagingEngine};
 use agp_disk::{Disk, DiskRequest};
 use agp_faults::{DiskOutcome, FaultInjector, RecoveryPolicy, TimedFault};
 use agp_gang::{GangScheduler, JobId, NodeSet};
@@ -51,6 +51,10 @@ struct Node {
     engine: PagingEngine,
     disk: Disk,
     trace: ActivityTrace,
+    /// Counts of the engines node crashes discarded, carried into the
+    /// run's result.
+    crashed_stats: EngineStats,
+    crashed_bg_cleaned: u64,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -167,9 +171,6 @@ pub struct ClusterSim {
     /// armed-but-unobserved run's event stream and `events` counter
     /// byte-identical to an unarmed one.
     caller_obs: bool,
-    /// Scenario label stamped into incident dumps (experiment id or plan
-    /// path); derived from the config shape when unset.
-    scenario: String,
     /// Watchdog rule set, snapshotted from the armed flight recorder at
     /// run start (disarmed and inert otherwise).
     watchdog: Watchdog,
@@ -220,6 +221,8 @@ impl ClusterSim {
                 engine: PagingEngine::new(cfg.policy),
                 disk: Disk::new(cfg.disk.clone()),
                 trace: ActivityTrace::new(cfg.trace_bucket),
+                crashed_stats: EngineStats::default(),
+                crashed_bg_cleaned: 0,
             })
             .collect();
 
@@ -290,7 +293,6 @@ impl ClusterSim {
             monitor_seq: 0,
             monitor_label: String::new(),
             caller_obs: false,
-            scenario: String::new(),
             watchdog: Watchdog::default(),
             job_last_progress: vec![SimTime::ZERO; njobs],
             pending_trip: None,
@@ -330,12 +332,6 @@ impl ClusterSim {
             barrier.set_observer(link.with_src(j as u32));
         }
         self.obs = link.with_src(SRC_CLUSTER);
-    }
-
-    /// Label incident dumps with a scenario name (experiment id or plan
-    /// path). Unset, dumps carry a label derived from the config shape.
-    pub fn set_scenario(&mut self, name: &str) {
-        self.scenario = name.to_string();
     }
 
     /// Attach a live-monitor tap directly (see [`MonitorHub::install`]
@@ -378,22 +374,23 @@ impl ClusterSim {
         res
     }
 
-    /// Incident-dump identity for this run: scenario label, seed, config
+    /// The run's label in incident dumps and monitor snapshots, derived
+    /// from the config shape: `"{jobs}j/{nodes}n {policy} {mode}"`.
+    fn label(&self) -> String {
+        format!(
+            "{}j/{}n {} {:?}",
+            self.cfg.jobs.len(),
+            self.cfg.nodes,
+            self.cfg.policy.label(),
+            self.cfg.mode
+        )
+    }
+
+    /// Incident-dump identity for this run: label, seed, config
     /// fingerprint, job names, and the pid→job map.
     fn flight_meta(&self) -> flight::RunMeta {
-        let scenario = if self.scenario.is_empty() {
-            format!(
-                "{}j/{}n {} {:?}",
-                self.cfg.jobs.len(),
-                self.cfg.nodes,
-                self.cfg.policy.label(),
-                self.cfg.mode
-            )
-        } else {
-            self.scenario.clone()
-        };
         flight::RunMeta {
-            scenario,
+            scenario: self.label(),
             seed: self.cfg.seed,
             config_fp: watchdog::config_fingerprint(&self.cfg),
             jobs: self.cfg.jobs.iter().map(|j| j.name.clone()).collect(),
@@ -429,13 +426,7 @@ impl ClusterSim {
             self.queue.push(SimTime::ZERO, Event::Sample);
         }
         if self.monitor.is_some() {
-            self.monitor_label = format!(
-                "{}j/{}n {} {:?}",
-                self.cfg.jobs.len(),
-                self.cfg.nodes,
-                self.cfg.policy.label(),
-                self.cfg.mode
-            );
+            self.monitor_label = self.label();
             self.queue.push(SimTime::ZERO, Event::Monitor);
         }
         for idx in 0..self.timed_faults.len() {
@@ -1416,7 +1407,9 @@ impl ClusterSim {
         {
             let node = &mut self.nodes[ni];
             node.kernel = Kernel::new(vm_params(&self.cfg), self.cfg.disk.blocks);
-            node.engine = PagingEngine::new(self.cfg.policy);
+            let lost = std::mem::replace(&mut node.engine, PagingEngine::new(self.cfg.policy));
+            node.crashed_stats += lost.stats();
+            node.crashed_bg_cleaned += lost.bg_cleaned_pages();
             if let Some(tagged) = self.gauge_obs.get(ni) {
                 node.kernel.set_observer(tagged.clone());
                 node.engine.set_observer(tagged.clone());
@@ -1592,11 +1585,15 @@ impl ClusterSim {
         let nodes = self
             .nodes
             .into_iter()
-            .map(|n| NodeReport {
-                disk: n.disk.stats().clone(),
-                engine: n.engine.stats(),
-                bg_cleaned_pages: n.engine.bg_cleaned_pages(),
-                trace: n.trace,
+            .map(|n| {
+                let mut engine = n.crashed_stats;
+                engine += n.engine.stats();
+                NodeReport {
+                    disk: n.disk.stats().clone(),
+                    engine,
+                    bg_cleaned_pages: n.crashed_bg_cleaned + n.engine.bg_cleaned_pages(),
+                    trace: n.trace,
+                }
             })
             .collect();
         RunResult {
@@ -1921,9 +1918,8 @@ mod tests {
         let r = sim.run().unwrap();
         let c = sink.lock().unwrap();
         let recs = c.switch_records();
-        assert_eq!(c.counters.switches as usize, recs.len());
         assert!(
-            c.counters.switches > r.switches,
+            recs.len() as u64 > r.switches,
             "every rotation plus the initial placement is recorded"
         );
         assert!(
@@ -1938,11 +1934,12 @@ mod tests {
                 rec.switch
             );
         }
+        let es = r.total_engine_stats();
         assert!(
-            c.counters.faults_major + c.counters.faults_minor > 0,
+            es.major_faults + es.minor_faults > 0,
             "first touches must raise faults"
         );
-        assert!(c.counters.disk_reads + c.counters.disk_writes > 0);
+        assert!(c.disk_service.count() > 0);
     }
 
     #[test]
@@ -2140,11 +2137,7 @@ mod tests {
         let disk = &r.nodes[0].disk;
         assert!(disk.errors > 0, "the window must catch live requests");
         assert_eq!(
-            c.fault_disk_errors, disk.errors,
-            "collector and DiskStats must agree on the error count"
-        );
-        assert_eq!(
-            c.fault_io_retries, c.fault_disk_errors,
+            c.fault_io_retries, disk.errors,
             "every failed attempt is followed by exactly one retry"
         );
         // Errored attempts move no pages: the activity trace (successful
@@ -2171,7 +2164,7 @@ mod tests {
             "ai falls back to demand paging exactly once per node"
         );
         assert!(
-            c.fault_disk_errors
+            r.nodes[0].disk.errors
                 >= u64::from(agp_faults::RecoveryPolicy::default().ai_degrade_after)
         );
         assert_eq!(r.jobs.len(), 2, "degraded run still completes");

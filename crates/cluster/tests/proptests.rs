@@ -4,10 +4,12 @@
 //! identical results.
 
 use agp_cluster::{ClusterConfig, ClusterSim, JobSpec, ScheduleMode, SimError};
+use agp_core::policy::BaselineKind;
 use agp_core::PolicyConfig;
 use agp_faults::{FaultPlan, FaultSpec};
+use agp_obs::{shared, ObsEvent, ObsLink, Observer};
 use agp_sim::prop;
-use agp_sim::{SimDur, SimRng};
+use agp_sim::{SimDur, SimRng, SimTime};
 use agp_workload::{Benchmark, Class, WorkloadSpec};
 
 const NODES: u32 = 2;
@@ -154,6 +156,125 @@ fn same_seed_and_plan_replay_identically() {
                 a.map(|r| r.makespan),
                 b.map(|r| r.makespan)
             ),
+        }
+    });
+}
+
+/// Paging and disk counts tallied from the event stream alone, to check
+/// against the counts the run itself reports.
+#[derive(Default)]
+struct Tally {
+    major: u64,
+    serviced: u64,
+    minor: u64,
+    readahead: u64,
+    evicted: u64,
+    false_evicted: u64,
+    recorded: u64,
+    reclaims: u64,
+    reclaim_freed: u64,
+    aggressive: u64,
+    replayed: u64,
+    skipped: u64,
+    bg_pages: u64,
+    reads: u64,
+    writes: u64,
+    pages_read: u64,
+    pages_written: u64,
+    disk_errors: u64,
+    slow_us: u64,
+}
+
+impl Observer for Tally {
+    fn on_event(&mut self, _at: SimTime, _src: u32, ev: &ObsEvent) {
+        match *ev {
+            ObsEvent::PageFault { major: true, .. } => self.major += 1,
+            ObsEvent::PageFault { major: false, .. } => self.minor += 1,
+            ObsEvent::MajorFault { readahead, .. } => {
+                self.serviced += 1;
+                self.readahead += u64::from(readahead);
+            }
+            ObsEvent::Evict {
+                false_eviction,
+                recorded,
+                ..
+            } => {
+                self.evicted += 1;
+                self.false_evicted += u64::from(false_eviction);
+                self.recorded += u64::from(recorded);
+            }
+            ObsEvent::Reclaim { freed, .. } => {
+                self.reclaims += 1;
+                self.reclaim_freed += freed;
+            }
+            ObsEvent::AggressiveOut { pages, .. } => self.aggressive += pages,
+            ObsEvent::Replay { pages, skipped, .. } => {
+                self.replayed += pages;
+                self.skipped += skipped;
+            }
+            ObsEvent::BgTick { pages, .. } => self.bg_pages += pages,
+            ObsEvent::DiskRequest { write, pages, .. } => {
+                if write {
+                    self.writes += 1;
+                    self.pages_written += pages;
+                } else {
+                    self.reads += 1;
+                    self.pages_read += pages;
+                }
+            }
+            ObsEvent::DiskError { .. } => self.disk_errors += 1,
+            ObsEvent::DiskSlowdown { penalty_us } => self.slow_us += penalty_us,
+            _ => {}
+        }
+    }
+}
+
+/// The event stream accounts for every page and request the run counts:
+/// on any completed run, node crashes included, tallying the delivered
+/// events reproduces the `RunResult`'s engine, background-writer and
+/// disk totals, under every paper policy and both baselines.
+#[test]
+fn event_stream_tallies_match_the_run_result() {
+    prop::check("event_stream_tallies_match_the_run_result", 12, |rng| {
+        let (seed, plan) = (rng.next_u64_raw(), plan(rng));
+        let mut cfg = chaos_cfg(seed, plan);
+        cfg.policy = *rng.pick(&PolicyConfig::paper_combinations());
+        cfg.policy.baseline = *rng.pick(&[BaselineKind::Clock, BaselineKind::GlobalLru]);
+        let tally = shared(Tally::default());
+        let link = ObsLink::to(tally.clone());
+        let Ok(r) = agp_cluster::run_observed(cfg, &link) else {
+            return;
+        };
+        let t = tally.lock().unwrap();
+        let es = r.total_engine_stats();
+        let disk = |f: fn(&agp_disk::DiskStats) -> u64| r.nodes.iter().map(|n| f(&n.disk)).sum();
+        let bg_cleaned: u64 = r.nodes.iter().map(|n| n.bg_cleaned_pages).sum();
+        for (what, events, counted) in [
+            ("major faults", t.major, es.major_faults),
+            ("serviced majors", t.serviced, es.major_faults),
+            ("minor faults", t.minor, es.minor_faults),
+            ("readahead pages", t.readahead, es.readahead_pages),
+            ("evictions", t.evicted, es.reclaimed_pages),
+            ("false evictions", t.false_evicted, es.false_evictions),
+            ("recorded evictions", t.recorded, es.recorded_pages),
+            ("reclaim runs", t.reclaims, es.reclaim_calls),
+            (
+                "reclaim-freed pages",
+                t.reclaim_freed,
+                es.reclaimed_pages - es.aggressive_evictions,
+            ),
+            ("aggressive pages", t.aggressive, es.aggressive_evictions),
+            ("replayed pages", t.replayed, es.replayed_pages),
+            ("replay-skipped pages", t.skipped, es.replay_skipped),
+            ("bg-cleaned pages", t.bg_pages, bg_cleaned),
+            ("disk reads", t.reads, disk(|d| d.read_requests)),
+            ("disk writes", t.writes, disk(|d| d.write_requests)),
+            ("pages read", t.pages_read, disk(|d| d.pages_read)),
+            ("pages written", t.pages_written, disk(|d| d.pages_written)),
+            ("disk errors", t.disk_errors, disk(|d| d.errors)),
+            ("slowdown us", t.slow_us, disk(|d| d.slow_penalty.as_us())),
+        ] {
+            assert_eq!(events, counted, "{what}: events vs {}", r.policy);
         }
     });
 }

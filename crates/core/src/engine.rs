@@ -96,6 +96,35 @@ pub struct EngineStats {
     pub replay_skipped: u64,
 }
 
+/// The one field-by-field sum of engine statistics: per-node totals, and
+/// a crashed node's discarded engine carried into its replacement's.
+impl std::ops::AddAssign for EngineStats {
+    fn add_assign(&mut self, other: EngineStats) {
+        let EngineStats {
+            major_faults,
+            minor_faults,
+            readahead_pages,
+            reclaim_calls,
+            reclaimed_pages,
+            false_evictions,
+            aggressive_evictions,
+            recorded_pages,
+            replayed_pages,
+            replay_skipped,
+        } = other;
+        self.major_faults += major_faults;
+        self.minor_faults += minor_faults;
+        self.readahead_pages += readahead_pages;
+        self.reclaim_calls += reclaim_calls;
+        self.reclaimed_pages += reclaimed_pages;
+        self.false_evictions += false_evictions;
+        self.aggressive_evictions += aggressive_evictions;
+        self.recorded_pages += recorded_pages;
+        self.replayed_pages += replayed_pages;
+        self.replay_skipped += replay_skipped;
+    }
+}
+
 /// Cached oldest-first victim ordering for the outgoing process.
 ///
 /// Under the Linux-2.2 watermark spacing, reclaim runs every few dozen

@@ -113,7 +113,7 @@ pub enum IncidentTrigger {
 /// starts so a dump is attributable even when the run dies early.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RunMeta {
-    /// Human-readable scenario name (experiment id or plan path).
+    /// Run label derived from the config shape (`"{jobs}j/{nodes}n {policy} {mode}"`).
     pub scenario: String,
     /// The run's RNG seed.
     pub seed: u64,

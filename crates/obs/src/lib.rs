@@ -15,31 +15,23 @@
 //!   default whose `emit` is a single branch and never constructs the
 //!   event (the closure argument is not called), so the hot path pays
 //!   nothing when tracing is off;
-//! * [`Collector`] — an aggregating sink: monotonic counters, fixed-bucket
-//!   latency histograms (switch duration, fault service time, disk
-//!   wait/service, barrier skew) and a per-switch [`SwitchRecord`]
-//!   decomposing each gang switch into its four phases;
-//! * [`RingBuffer`] — an in-memory last-N sink for interactive debugging;
+//! * [`Collector`] — an aggregating sink: the counts only the event
+//!   stream carries ([`ObsCounters`]: events, background bursts, gauge
+//!   samples, fault-recovery actions), log2 latency histograms (switch
+//!   duration, fault service time, disk wait/service, barrier skew) and a
+//!   per-switch [`SwitchRecord`] decomposing each gang switch into its
+//!   four phases. Paging and disk counts are the run's own: read them
+//!   from its `RunResult`;
+//! * [`RingBuffer`] — a last-K sink with an exact drop count, behind
+//!   `agp sim --obs-budget` (truncation is never silent);
 //! * [`JsonlWriter`] — a line-per-event exporter whose output is
 //!   **byte-identical for identical seeds** (hand-rolled encoding with a
 //!   fixed field order; no float formatting), turning the simulator's
 //!   determinism guarantee into a diffable artifact. [`trace_diff`]
 //!   pinpoints the first divergent event between two such streams;
-//! * [`ChunkedJsonlWriter`] / [`BudgetedSink`] — the bounded-memory
-//!   streaming path: incremental flushing (O(chunk) buffered bytes) and
-//!   last-K retention with an explicit drop counter so `--obs-budget`
-//!   truncation is never silent;
 //! * [`flight`] — the black-box flight recorder: a process-global,
 //!   atomically gated last-N window that watchdog trips or error unwinds
 //!   freeze into a byte-deterministic incident dump for `agp postmortem`.
-//!
-//! ## Merging shards
-//!
-//! [`Collector`], [`ObsCounters`] and [`LatencyHistogram`] carry
-//! associative `merge()` operations: counters and buckets add, switch
-//! records append in merge order. Folding per-shard collectors in a fixed
-//! shard order therefore reproduces the serial collector exactly — the
-//! algebra behind the deterministic `agp run --jobs N` fan-out.
 //!
 //! ## Source tags
 //!
@@ -50,26 +42,24 @@
 //!
 //! ## Zero dependencies
 //!
-//! Only `agp-sim` (for [`agp_sim::SimTime`]); no serde, no external
-//! crates. The JSONL encoding is hand-rolled precisely so that byte
-//! stability is owned by this crate and not by a serializer's formatting
-//! choices.
+//! Only `agp-sim` (for [`agp_sim::SimTime`]) and `agp-perf` (for the
+//! shared [`LatencyHistogram`] and the `obs.emit` span); no serde, no
+//! external crates. The JSONL encoding is hand-rolled precisely so that
+//! byte stability is owned by this crate and not by a serializer's
+//! formatting choices.
 
 #![warn(missing_docs)]
 
 mod collector;
 mod event;
 pub mod flight;
-mod hist;
 mod observer;
 mod sink;
-mod stream;
 
+pub use agp_perf::LatencyHistogram;
 pub use collector::{Collector, ObsCounters, SwitchRecord};
 pub use event::{ObsEvent, SwitchPhaseKind, WatchdogRule, SRC_CLUSTER};
-pub use hist::LatencyHistogram;
 pub use observer::{shared, ObsLink, Observer, SharedSink};
 pub use sink::{
     trace_diff, JsonlWriter, RingBuffer, TraceDivergence, TracedEvent, DIFF_CONTEXT_LINES,
 };
-pub use stream::{BudgetedSink, ChunkedJsonlWriter, DEFAULT_CHUNK_LINES};

@@ -19,8 +19,9 @@ pub struct TracedEvent {
     pub event: ObsEvent,
 }
 
-/// A bounded in-memory sink keeping the most recent events, for
-/// interactive debugging and tests.
+/// A last-K sink: memory stays O(K) however many events flow through,
+/// and every eviction is counted, so `agp sim --obs-budget K` can report
+/// "kept X of Y" and a truncated trace never passes for a complete one.
 #[derive(Clone, Debug)]
 pub struct RingBuffer {
     cap: usize,
@@ -302,6 +303,53 @@ mod tests {
             .collect();
         assert_eq!(pages, vec![7, 8, 9], "oldest-first after wraparound");
         assert_eq!(ring.dropped(), 7);
+    }
+
+    #[test]
+    fn ring_buffer_survives_a_million_events_in_bounded_memory() {
+        // 10⁶ events through a fixed budget: retention stays at the
+        // budget, drops are counted, and the retained window is exactly
+        // the last K events.
+        const TOTAL: u64 = 1_000_000;
+        const BUDGET: usize = 1024;
+        let mut ring = RingBuffer::new(BUDGET);
+        for i in 0..TOTAL {
+            ring.on_event(SimTime::from_us(i), 0, &ev(i as u32));
+            debug_assert!(ring.len() <= BUDGET);
+        }
+        assert_eq!(ring.len(), BUDGET);
+        assert_eq!(ring.total_seen(), TOTAL);
+        assert_eq!(ring.dropped(), TOTAL - BUDGET as u64);
+        let first = ring.events().next().unwrap().at;
+        assert_eq!(first, SimTime::from_us(TOTAL - BUDGET as u64));
+        let events = ring.drain();
+        assert_eq!(events.len(), BUDGET);
+        assert_eq!(events.last().unwrap().at, SimTime::from_us(TOTAL - 1));
+    }
+
+    #[test]
+    fn jsonl_writer_latches_errors() {
+        struct FailAfter(usize);
+        impl Write for FailAfter {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                if self.0 == 0 {
+                    return Err(std::io::Error::other("disk full"));
+                }
+                self.0 -= 1;
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        // Each event costs two writes (line + newline): the third event's
+        // line write fails and latches.
+        let mut w = JsonlWriter::new(FailAfter(4));
+        for i in 0..5 {
+            w.on_event(SimTime::from_us(i as u64), 0, &ev(i));
+        }
+        assert_eq!(w.lines(), 2);
+        assert!(w.finish().is_err());
     }
 
     #[test]

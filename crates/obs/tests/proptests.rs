@@ -1,5 +1,6 @@
-//! Property tests for `LatencyHistogram::percentile_us` at bucket
-//! boundaries.
+//! Property tests for `LatencyHistogram::percentile` at bucket
+//! boundaries, and for its merge (which folds per-thread span
+//! recorders in agp-perf).
 //!
 //! The histogram stores log2 buckets (bucket 0 holds zeros, bucket `i`
 //! covers `[2^(i-1), 2^i)`), so a percentile estimate cannot be exact —
@@ -61,7 +62,7 @@ fn estimate_lands_in_the_exact_samples_bucket() {
         let h = build(&samples);
         samples.sort_unstable();
         let p = p as f64;
-        let est = h.percentile_us(p);
+        let est = h.percentile(p);
         // Mirror the implementation's rank formula exactly.
         let rank = (p / 100.0) * (samples.len() - 1) as f64;
         let ceil_idx = (rank.ceil() as usize).min(samples.len() - 1);
@@ -89,8 +90,8 @@ fn estimate_is_bounded_by_max_and_p100_is_exact() {
             let samples = prop::vec(rng, 1..200, boundary_value);
             let p = percentile(rng);
             let h = build(&samples);
-            assert!(h.percentile_us(p as f64) <= h.max_us());
-            assert_eq!(h.percentile_us(100.0), h.max_us());
+            assert!(h.percentile(p as f64) <= h.max());
+            assert_eq!(h.percentile(100.0), h.max());
         },
     );
 }
@@ -103,7 +104,7 @@ fn estimates_are_monotone_in_p() {
         let (p1, p2) = (percentile(rng), percentile(rng));
         let (lo, hi) = (p1.min(p2), p1.max(p2));
         let h = build(&samples);
-        assert!(h.percentile_us(lo as f64) <= h.percentile_us(hi as f64));
+        assert!(h.percentile(lo as f64) <= h.percentile(hi as f64));
     });
 }
 
@@ -113,7 +114,7 @@ fn single_sample_is_exact_at_every_percentile() {
     prop::check("single_sample_is_exact_at_every_percentile", CASES, |rng| {
         let (v, p) = (boundary_value(rng), percentile(rng));
         let h = build(&[v]);
-        assert_eq!(h.percentile_us(p as f64), v);
+        assert_eq!(h.percentile(p as f64), v);
     });
 }
 
@@ -125,9 +126,9 @@ fn saturated_single_bucket_stays_in_bucket() {
         let v = boundary_value(rng);
         let (n, p) = (rng.range(1, 64) as usize, percentile(rng));
         let h = build(&vec![v; n]);
-        let est = h.percentile_us(p as f64);
+        let est = h.percentile(p as f64);
         assert_eq!(bucket_of(est), bucket_of(v));
-        assert_eq!(h.percentile_us(100.0), v);
+        assert_eq!(h.percentile(100.0), v);
     });
 }
 
@@ -146,8 +147,8 @@ fn shard_merge(samples: &[u64], shards: usize) -> LatencyHistogram {
     merged
 }
 
-fn hist_fingerprint(h: &LatencyHistogram) -> (u64, u64, u64, Vec<(String, u64)>) {
-    (h.count(), h.sum_us(), h.max_us(), h.rows())
+fn hist_fingerprint(h: &LatencyHistogram) -> (u64, u64, u64, Vec<(u64, u64)>) {
+    (h.count(), h.sum(), h.max(), h.rows())
 }
 
 /// Shard-count invariance: recording a stream serially, or splitting
@@ -162,10 +163,7 @@ fn merge_is_shard_count_invariant() {
         for shards in [2usize, 8] {
             let merged = shard_merge(&samples, shards);
             assert_eq!(hist_fingerprint(&merged), hist_fingerprint(&serial));
-            assert_eq!(
-                merged.percentile_us(p as f64),
-                serial.percentile_us(p as f64)
-            );
+            assert_eq!(merged.percentile(p as f64), serial.percentile(p as f64));
         }
     });
 }
@@ -204,171 +202,11 @@ fn empty_is_merge_identity() {
     });
 }
 
-// ---------------------------------------------------------------------
-// Collector merge algebra
-// ---------------------------------------------------------------------
-
-use agp_obs::{Collector, ObsEvent, Observer, SwitchPhaseKind};
-use agp_sim::SimTime;
-
-/// One atomic unit of collector input. Shard boundaries in the real
-/// fan-out fall between whole simulation runs, never inside a gang
-/// switch's event group, so the sharding unit here is either a single
-/// non-switch event or a complete switch block (phase + done with one
-/// switch id).
-#[derive(Clone, Debug)]
-enum EventGroup {
-    One(ObsEvent),
-    Switch { page_out_us: u64, total_us: u64 },
-}
-
-/// A compact slice of the event taxonomy touching every Collector
-/// surface: counters, all five histograms, and the switch-record list.
-fn event_group(rng: &mut SimRng) -> EventGroup {
-    let u32_of = |r: &mut SimRng| r.next_u64_raw() as u32;
-    match rng.below(6) {
-        0 => EventGroup::One(ObsEvent::PageFault {
-            pid: u32_of(rng),
-            page: u32_of(rng),
-            major: rng.chance(0.5),
-        }),
-        1 => EventGroup::One(ObsEvent::Replay {
-            pid: u32_of(rng),
-            pages: rng.below(1 << 20),
-            skipped: rng.below(1 << 20),
-        }),
-        2 => EventGroup::One(ObsEvent::DiskRequest {
-            write: rng.chance(0.5),
-            extents: 1,
-            pages: rng.range(1, 256),
-            wait_us: rng.below(1 << 20),
-            seek_us: 0,
-            service_us: rng.below(1 << 20),
-        }),
-        3 => EventGroup::One(ObsEvent::FaultService {
-            pid: u32_of(rng),
-            page: u32_of(rng),
-            wait_us: rng.below(1 << 30),
-        }),
-        4 => EventGroup::One(ObsEvent::BarrierWait {
-            ranks: rng.range(1, 64) as u32,
-            skew_us: rng.below(1 << 30),
-            lag_us: rng.below(1 << 30),
-        }),
-        _ => EventGroup::Switch {
-            page_out_us: rng.below(1 << 20),
-            total_us: rng.below(1 << 20),
-        },
-    }
-}
-
-/// Feed `groups` into a collector. Group `offset + i` stamps its events
-/// at `t = offset + i` and numbers its switch (if any) `offset + i`, so
-/// a shard re-feeding a slice reproduces exactly the serial timestamps
-/// and switch ids.
-fn collect(groups: &[EventGroup], offset: usize) -> Collector {
-    let mut c = Collector::new();
-    for (i, g) in groups.iter().enumerate() {
-        let at = SimTime::from_us((offset + i) as u64);
-        match g {
-            EventGroup::One(ev) => c.on_event(at, 0, ev),
-            EventGroup::Switch {
-                page_out_us,
-                total_us,
-            } => {
-                let switch = (offset + i) as u64;
-                c.on_event(
-                    at,
-                    0,
-                    &ObsEvent::SwitchPhase {
-                        switch,
-                        phase: SwitchPhaseKind::PageOut,
-                        dur_us: *page_out_us,
-                    },
-                );
-                c.on_event(
-                    at,
-                    0,
-                    &ObsEvent::SwitchDone {
-                        switch,
-                        total_us: *total_us,
-                    },
-                );
-            }
-        }
-    }
-    c
-}
-
-/// Everything observable about a collector, for equality checks.
-fn collector_fingerprint(c: &Collector) -> String {
-    format!(
-        "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
-        c.counters,
-        c.switch_records(),
-        hist_fingerprint(&c.switch_total),
-        hist_fingerprint(&c.fault_service),
-        hist_fingerprint(&c.disk_wait),
-        hist_fingerprint(&c.disk_service),
-        hist_fingerprint(&c.barrier_skew),
-    )
-}
-
-/// Contiguous-block sharding (what the registry fan-out does: each
-/// shard owns a slice of the work list) merged in shard order equals
-/// the serial collector, for 2 and 8 shards.
-#[test]
-fn collector_merge_is_shard_count_invariant() {
-    prop::check("collector_merge_is_shard_count_invariant", CASES, |rng| {
-        let groups = prop::vec(rng, 1..120, event_group);
-        let serial = collect(&groups, 0);
-        for shards in [2usize, 8] {
-            let chunk = groups.len().div_ceil(shards);
-            let mut merged = Collector::new();
-            let mut offset = 0;
-            for part in groups.chunks(chunk) {
-                // Re-feed with the original global timestamps and switch
-                // ids so the switch records match the serial run exactly.
-                merged.merge(&collect(part, offset));
-                offset += part.len();
-            }
-            assert_eq!(
-                collector_fingerprint(&merged),
-                collector_fingerprint(&serial),
-                "shards={}",
-                shards
-            );
-        }
-    });
-}
-
-/// Collector merge is associative.
-#[test]
-fn collector_merge_is_associative() {
-    prop::check("collector_merge_is_associative", CASES, |rng| {
-        let a = prop::vec(rng, 0..40, event_group);
-        let b = prop::vec(rng, 0..40, event_group);
-        let c = prop::vec(rng, 0..40, event_group);
-        let (ca, cb, cc) = (collect(&a, 0), collect(&b, 100), collect(&c, 200));
-        let mut left = Collector::new();
-        left.merge(&ca);
-        left.merge(&cb);
-        left.merge(&cc);
-        let mut bc = Collector::new();
-        bc.merge(&cb);
-        bc.merge(&cc);
-        let mut right = Collector::new();
-        right.merge(&ca);
-        right.merge(&bc);
-        assert_eq!(collector_fingerprint(&left), collector_fingerprint(&right));
-    });
-}
-
 #[test]
 fn empty_histogram_answers_zero() {
     let h = LatencyHistogram::default();
     for p in [0.0, 1.0, 50.0, 99.0, 100.0] {
-        assert_eq!(h.percentile_us(p), 0);
+        assert_eq!(h.percentile(p), 0);
     }
 }
 
@@ -376,13 +214,13 @@ fn empty_histogram_answers_zero() {
 fn all_zero_samples_answer_zero() {
     let h = build(&[0, 0, 0, 0]);
     for p in [0.0, 50.0, 100.0] {
-        assert_eq!(h.percentile_us(p), 0);
+        assert_eq!(h.percentile(p), 0);
     }
 }
 
 #[test]
 fn u64_max_saturates_without_panicking() {
     let h = build(&[u64::MAX, u64::MAX, 1]);
-    assert_eq!(h.percentile_us(100.0), u64::MAX);
-    assert_eq!(h.percentile_us(0.0), 1, "the minimum sample");
+    assert_eq!(h.percentile(100.0), u64::MAX);
+    assert_eq!(h.percentile(0.0), 1, "the minimum sample");
 }

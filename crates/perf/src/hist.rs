@@ -1,10 +1,11 @@
-//! Fixed-bucket latency histograms.
+//! The fixed-bucket log2 histogram shared by agp-perf's span timings
+//! (nanoseconds) and agp-obs's latency distributions (microseconds).
 
 /// Number of buckets: one zero bucket plus one per power of two up to
-/// `u64::MAX` (bucket `i ≥ 1` covers `[2^(i-1), 2^i)` µs).
+/// `u64::MAX` (bucket `i ≥ 1` covers `[2^(i-1), 2^i)`).
 const BUCKETS: usize = 65;
 
-/// A fixed-bucket (log₂ microsecond) latency histogram.
+/// A fixed-bucket log₂ histogram of `u64` values in any one unit.
 ///
 /// Bucket 0 counts exact zeros; bucket `i ≥ 1` counts values in
 /// `[2^(i-1), 2^i)`. Fixed power-of-two buckets keep recording to a
@@ -35,27 +36,35 @@ impl LatencyHistogram {
         LatencyHistogram::default()
     }
 
-    fn bucket_of(us: u64) -> usize {
-        if us == 0 {
+    fn bucket_of(v: u64) -> usize {
+        if v == 0 {
             0
         } else {
-            64 - us.leading_zeros() as usize
+            64 - v.leading_zeros() as usize
         }
     }
 
-    /// Record one value (microseconds).
-    pub fn record(&mut self, us: u64) {
-        self.counts[Self::bucket_of(us)] += 1;
+    /// Lower bound of bucket `i` (0 for the zero bucket).
+    fn floor(i: usize) -> u64 {
+        if i == 0 {
+            0
+        } else {
+            1u64 << (i - 1)
+        }
+    }
+
+    /// Record one value.
+    pub fn record(&mut self, v: u64) {
+        self.counts[Self::bucket_of(v)] += 1;
         self.count += 1;
-        self.sum = self.sum.saturating_add(us);
-        self.max = self.max.max(us);
+        self.sum = self.sum.saturating_add(v);
+        self.max = self.max.max(v);
     }
 
     /// Fold `other` into `self`: per-bucket counts add, the sum saturates
     /// like [`LatencyHistogram::record`], and the max is the larger of the
-    /// two. Merging is associative and commutative, so any shard tree
-    /// (1, 2, 8 shards) collapses to the same histogram as serial
-    /// recording — the property the fan-out parity tests pin.
+    /// two. Merging is associative and commutative, so per-thread span
+    /// recorders fold into the same histogram in any order.
     pub fn merge(&mut self, other: &LatencyHistogram) {
         for (c, o) in self.counts.iter_mut().zip(other.counts.iter()) {
             *c += o;
@@ -70,18 +79,18 @@ impl LatencyHistogram {
         self.count
     }
 
-    /// Sum of recorded values, µs (saturating).
-    pub fn sum_us(&self) -> u64 {
+    /// Sum of recorded values (saturating).
+    pub fn sum(&self) -> u64 {
         self.sum
     }
 
-    /// Largest recorded value, µs.
-    pub fn max_us(&self) -> u64 {
+    /// Largest recorded value.
+    pub fn max(&self) -> u64 {
         self.max
     }
 
-    /// Mean recorded value, µs (0 when empty).
-    pub fn mean_us(&self) -> u64 {
+    /// Mean recorded value (0 when empty).
+    pub fn mean(&self) -> u64 {
         self.sum.checked_div(self.count).unwrap_or(0)
     }
 
@@ -90,13 +99,13 @@ impl LatencyHistogram {
         self.count == 0
     }
 
-    /// Estimate the `p`-th percentile (0–100), µs, by locating the bucket
+    /// Estimate the `p`-th percentile (0–100) by locating the bucket
     /// holding the target rank and interpolating linearly within its
     /// `[2^(i-1), 2^i)` range. Exact for bucket 0 (all zeros); elsewhere
     /// the estimate is within one bucket width of the true value. The top
     /// bucket is clamped to the recorded maximum. Returns 0 when empty;
     /// `p` is clamped to `[0, 100]`.
-    pub fn percentile_us(&self, p: f64) -> u64 {
+    pub fn percentile(&self, p: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -114,7 +123,7 @@ impl LatencyHistogram {
                 if i == 0 {
                     return 0;
                 }
-                let lo = 1u64 << (i - 1);
+                let lo = Self::floor(i);
                 let hi = if i >= 64 { u64::MAX } else { (1u64 << i) - 1 }.min(self.max);
                 if hi <= lo {
                     return lo.min(self.max);
@@ -140,26 +149,25 @@ impl LatencyHistogram {
         self.max
     }
 
-    /// Median estimate, µs (see [`LatencyHistogram::percentile_us`]).
-    pub fn p50_us(&self) -> u64 {
-        self.percentile_us(50.0)
+    /// Median estimate (see [`LatencyHistogram::percentile`]).
+    pub fn p50(&self) -> u64 {
+        self.percentile(50.0)
     }
 
-    /// 90th-percentile estimate, µs.
-    pub fn p90_us(&self) -> u64 {
-        self.percentile_us(90.0)
+    /// 90th-percentile estimate.
+    pub fn p90(&self) -> u64 {
+        self.percentile(90.0)
     }
 
-    /// 99th-percentile estimate, µs.
-    pub fn p99_us(&self) -> u64 {
-        self.percentile_us(99.0)
+    /// 99th-percentile estimate.
+    pub fn p99(&self) -> u64 {
+        self.percentile(99.0)
     }
 
-    /// The non-empty buckets between the first and last occupied one
-    /// (inclusive), as `(label, count)` rows ready for a bar chart.
-    /// Interior zero buckets are kept so gaps in the distribution stay
-    /// visible.
-    pub fn rows(&self) -> Vec<(String, u64)> {
+    /// The buckets between the first and last occupied one (inclusive),
+    /// as `(lower bound, count)` rows ready for a bar chart. Interior
+    /// zero buckets are kept so gaps in the distribution stay visible.
+    pub fn rows(&self) -> Vec<(u64, u64)> {
         let first = match self.counts.iter().position(|&c| c > 0) {
             Some(i) => i,
             None => return Vec::new(),
@@ -168,7 +176,7 @@ impl LatencyHistogram {
         // fall back to `first` rather than keeping a panic path.
         let last = self.counts.iter().rposition(|&c| c > 0).unwrap_or(first);
         (first..=last)
-            .map(|i| (bucket_label(i), self.counts[i]))
+            .map(|i| (Self::floor(i), self.counts[i]))
             .collect()
     }
 }
@@ -177,25 +185,9 @@ impl std::fmt::Debug for LatencyHistogram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LatencyHistogram")
             .field("count", &self.count)
-            .field("mean_us", &self.mean_us())
-            .field("max_us", &self.max)
+            .field("mean", &self.mean())
+            .field("max", &self.max)
             .finish()
-    }
-}
-
-/// Human label for a bucket's lower bound (`0`, `1us`, `512us`, `1ms`,
-/// `1s`, …).
-fn bucket_label(i: usize) -> String {
-    if i == 0 {
-        return "0".to_string();
-    }
-    let lo = 1u64 << (i - 1);
-    if lo >= 1_000_000 {
-        format!("{}s", lo / 1_000_000)
-    } else if lo >= 1_000 {
-        format!("{}ms", lo / 1_000)
-    } else {
-        format!("{lo}us")
     }
 }
 
@@ -213,11 +205,7 @@ mod tests {
         h.record(4);
         let rows = h.rows();
         // Buckets: 0 -> 1, [1,2) -> 1, [2,4) -> 2, [4,8) -> 1.
-        assert_eq!(rows.len(), 4);
-        assert_eq!(rows[0], ("0".to_string(), 1));
-        assert_eq!(rows[1], ("1us".to_string(), 1));
-        assert_eq!(rows[2], ("2us".to_string(), 2));
-        assert_eq!(rows[3], ("4us".to_string(), 1));
+        assert_eq!(rows, vec![(0, 1), (1, 1), (2, 2), (4, 1)]);
     }
 
     #[test]
@@ -227,7 +215,7 @@ mod tests {
             h.record(v);
         }
         // Rank 0.5 lies past the lone 1 and before the [2,4) pair.
-        assert_eq!(h.percentile_us(25.0), 2);
+        assert_eq!(h.percentile(25.0), 2);
     }
 
     #[test]
@@ -236,7 +224,7 @@ mod tests {
         let v = (1u64 << 62) + 1;
         h.record(v);
         h.record(v);
-        assert_eq!(h.percentile_us(100.0), v);
+        assert_eq!(h.percentile(100.0), v);
     }
 
     #[test]
@@ -246,9 +234,9 @@ mod tests {
             h.record(v);
         }
         assert_eq!(h.count(), 3);
-        assert_eq!(h.sum_us(), 60);
-        assert_eq!(h.mean_us(), 20);
-        assert_eq!(h.max_us(), 30);
+        assert_eq!(h.sum(), 60);
+        assert_eq!(h.mean(), 20);
+        assert_eq!(h.max(), 30);
         assert!(!h.is_empty());
     }
 
@@ -257,7 +245,7 @@ mod tests {
         let h = LatencyHistogram::new();
         assert!(h.is_empty());
         assert!(h.rows().is_empty());
-        assert_eq!(h.mean_us(), 0);
+        assert_eq!(h.mean(), 0);
     }
 
     #[test]
@@ -268,7 +256,7 @@ mod tests {
         let rows = h.rows();
         assert_eq!(rows.len(), 11);
         assert_eq!(rows.iter().filter(|(_, c)| *c > 0).count(), 2);
-        assert_eq!(rows.last().unwrap().0, "1ms");
+        assert_eq!(rows.last().unwrap().0, 1024);
     }
 
     /// Exact percentile of sorted samples, matching the histogram's
@@ -284,16 +272,16 @@ mod tests {
     #[test]
     fn percentiles_are_exact_on_degenerate_inputs() {
         let mut h = LatencyHistogram::new();
-        assert_eq!(h.p50_us(), 0, "empty histogram");
+        assert_eq!(h.p50(), 0, "empty histogram");
         for _ in 0..100 {
             h.record(0);
         }
-        assert_eq!(h.p50_us(), 0);
-        assert_eq!(h.p99_us(), 0);
+        assert_eq!(h.p50(), 0);
+        assert_eq!(h.p99(), 0);
         let mut one = LatencyHistogram::new();
         one.record(777);
-        assert_eq!(one.p50_us(), 777, "single sample clamps to max");
-        assert_eq!(one.p99_us(), 777);
+        assert_eq!(one.p50(), 777, "single sample clamps to max");
+        assert_eq!(one.p99(), 777);
     }
 
     #[test]
@@ -316,19 +304,19 @@ mod tests {
         samples.sort_unstable();
         for p in [50.0, 90.0, 99.0] {
             let exact = exact_percentile(&samples, p);
-            let est = h.percentile_us(p) as f64;
+            let est = h.percentile(p) as f64;
             // A log2-bucket estimate can sit anywhere inside the exact
             // value's bucket: within a factor of two, and never above max.
             assert!(
                 est <= 2.0 * exact && est >= exact / 2.0,
                 "p{p}: estimate {est} vs exact {exact}"
             );
-            assert!(est <= h.max_us() as f64);
+            assert!(est <= h.max() as f64);
         }
         // Percentiles are monotone in p.
-        assert!(h.p50_us() <= h.p90_us());
-        assert!(h.p90_us() <= h.p99_us());
-        assert!(h.p99_us() <= h.max_us());
+        assert!(h.p50() <= h.p90());
+        assert!(h.p90() <= h.p99());
+        assert!(h.p99() <= h.max());
     }
 
     #[test]
@@ -338,11 +326,11 @@ mod tests {
         for v in [8, 10, 12, 15] {
             h.record(v);
         }
-        let p0 = h.percentile_us(0.0);
-        let p100 = h.percentile_us(100.0);
+        let p0 = h.percentile(0.0);
+        let p100 = h.percentile(100.0);
         assert_eq!(p0, 8, "0th percentile is the bucket floor");
         assert_eq!(p100, 15, "100th percentile clamps to the max");
-        let p50 = h.p50_us();
+        let p50 = h.p50();
         assert!((8..=15).contains(&p50), "median interpolates: {p50}");
     }
 
@@ -351,7 +339,7 @@ mod tests {
         let mut h = LatencyHistogram::new();
         h.record(u64::MAX);
         h.record(u64::MAX);
-        assert_eq!(h.max_us(), u64::MAX);
+        assert_eq!(h.max(), u64::MAX);
         assert_eq!(h.rows().len(), 1);
     }
 
@@ -378,11 +366,11 @@ mod tests {
             merged.merge(s);
         }
         assert_eq!(merged.count(), serial.count());
-        assert_eq!(merged.sum_us(), serial.sum_us());
-        assert_eq!(merged.max_us(), serial.max_us());
+        assert_eq!(merged.sum(), serial.sum());
+        assert_eq!(merged.max(), serial.max());
         assert_eq!(merged.rows(), serial.rows());
         for p in [50.0, 90.0, 99.0] {
-            assert_eq!(merged.percentile_us(p), serial.percentile_us(p));
+            assert_eq!(merged.percentile(p), serial.percentile(p));
         }
     }
 
@@ -411,16 +399,16 @@ mod tests {
         right.merge(&bc);
         assert_eq!(left.rows(), right.rows());
         assert_eq!(left.count(), right.count());
-        assert_eq!(left.sum_us(), right.sum_us());
-        assert_eq!(left.max_us(), right.max_us());
+        assert_eq!(left.sum(), right.sum());
+        assert_eq!(left.max(), right.max());
     }
 
     #[test]
     fn merge_with_empty_is_identity() {
         let mut h = LatencyHistogram::new();
         h.record(42);
-        let before = (h.count(), h.sum_us(), h.max_us(), h.rows());
+        let before = (h.count(), h.sum(), h.max(), h.rows());
         h.merge(&LatencyHistogram::new());
-        assert_eq!((h.count(), h.sum_us(), h.max_us(), h.rows()), before);
+        assert_eq!((h.count(), h.sum(), h.max(), h.rows()), before);
     }
 }

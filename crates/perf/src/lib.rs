@@ -14,6 +14,9 @@
 //! * An explicit-clock **[`Recorder`]** does all accounting (inclusive /
 //!   exclusive / histogram / stack paths) and is testable without any
 //!   real clock; see `recorder.rs`.
+//! * One fixed-bucket log2 **[`LatencyHistogram`]** holds every
+//!   distribution: per-span frame times here (ns) and agp-obs's latency
+//!   distributions (µs), which re-exports it.
 //! * This module adds the thin process-global layer: a runtime on/off
 //!   gate, a thread-local recorder, and the RAII [`scope`] guard the
 //!   instrumented crates call.
@@ -31,13 +34,13 @@
 
 #![warn(missing_docs)]
 
-pub mod prom;
+mod hist;
 pub mod recorder;
 pub mod report;
 pub mod span;
 
-pub use prom::render_prometheus;
-pub use recorder::{NsHistogram, PathStat, Recorder, SpanStat};
+pub use hist::LatencyHistogram;
+pub use recorder::{PathStat, Recorder, SpanStat};
 pub use report::{Derived, PathAgg, PerfReport, SpanAgg, COLLAPSED_ROOT};
 pub use span::{Span, ALL_SPANS, SPAN_COUNT};
 

@@ -21,120 +21,20 @@
 //!   ids from the root), which is exactly the collapsed-stack format
 //!   flamegraph tools consume.
 
+use crate::hist::LatencyHistogram;
 use crate::span::{Span, SPAN_COUNT};
 use std::collections::BTreeMap;
 
-/// Power-of-two nanosecond latency histogram.
-///
-/// Bucket 0 counts zero-duration observations; bucket `i >= 1` counts
-/// durations in `[2^(i-1), 2^i)` ns. 64 value buckets plus the zero
-/// bucket cover the full `u64` range.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct NsHistogram {
-    buckets: [u64; Self::BUCKETS],
-}
-
-impl NsHistogram {
-    /// Number of buckets (zero bucket + one per power of two).
-    pub const BUCKETS: usize = 65;
-
-    /// An empty histogram.
-    pub fn new() -> Self {
-        NsHistogram {
-            buckets: [0; Self::BUCKETS],
-        }
-    }
-
-    fn bucket_of(ns: u64) -> usize {
-        if ns == 0 {
-            0
-        } else {
-            (64 - ns.leading_zeros()) as usize
-        }
-    }
-
-    /// Record one observation.
-    pub fn record(&mut self, ns: u64) {
-        self.buckets[Self::bucket_of(ns)] += 1;
-    }
-
-    /// Total number of observations.
-    pub fn count(&self) -> u64 {
-        self.buckets.iter().sum()
-    }
-
-    /// Raw bucket counts (index = power-of-two bucket).
-    pub fn buckets(&self) -> &[u64; Self::BUCKETS] {
-        &self.buckets
-    }
-
-    /// Inclusive upper bound of bucket `i` in ns (0 for the zero bucket).
-    pub fn bucket_upper(i: usize) -> u64 {
-        if i == 0 {
-            0
-        } else if i >= 64 {
-            u64::MAX
-        } else {
-            1u64 << i
-        }
-    }
-
-    /// Upper bound of the bucket holding quantile `q` in `[0, 1]`.
-    ///
-    /// Coarse by construction (a power of two), which is all the hot-span
-    /// table needs; returns 0 on an empty histogram.
-    pub fn quantile_upper(&self, q: f64) -> u64 {
-        let total = self.count();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return Self::bucket_upper(i);
-            }
-        }
-        Self::bucket_upper(Self::BUCKETS - 1)
-    }
-}
-
-impl Default for NsHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// Flat per-span aggregate.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SpanStat {
-    /// Number of frames exited for this span.
-    pub count: u64,
     /// Outermost-activation wall time (see module docs).
     pub incl_ns: u64,
     /// Self time: elapsed minus direct children's elapsed.
     pub excl_ns: u64,
-    /// Sum of per-frame elapsed time (every activation, including
-    /// re-entrant ones; the histogram's `_sum`).
-    pub sum_ns: u64,
-    /// Largest single-frame elapsed time.
-    pub max_ns: u64,
-    /// Per-frame elapsed-time distribution.
-    pub hist: NsHistogram,
-}
-
-impl SpanStat {
-    fn new() -> Self {
-        SpanStat {
-            count: 0,
-            incl_ns: 0,
-            excl_ns: 0,
-            sum_ns: 0,
-            max_ns: 0,
-            hist: NsHistogram::new(),
-        }
-    }
+    /// Per-frame elapsed-time distribution, ns: every activation,
+    /// including re-entrant ones, so its count is the frames exited.
+    pub hist: LatencyHistogram,
 }
 
 /// Exclusive-time aggregate for one call stack (root-first span ids).
@@ -171,7 +71,7 @@ impl Recorder {
     /// An empty recorder.
     pub fn new() -> Self {
         Recorder {
-            stats: (0..SPAN_COUNT).map(|_| SpanStat::new()).collect(),
+            stats: vec![SpanStat::default(); SPAN_COUNT],
             stack: Vec::with_capacity(16),
             stack_ids: Vec::with_capacity(16),
             active: [0; SPAN_COUNT],
@@ -207,10 +107,7 @@ impl Recorder {
         self.stack_ids.pop();
 
         let stat = &mut self.stats[id];
-        stat.count += 1;
         stat.excl_ns += excl;
-        stat.sum_ns += el;
-        stat.max_ns = stat.max_ns.max(el);
         stat.hist.record(el);
         self.active[id] -= 1;
         if self.active[id] == 0 {
@@ -251,7 +148,7 @@ impl Recorder {
 
     /// True if nothing was ever recorded.
     pub fn is_empty(&self) -> bool {
-        self.stats.iter().all(|s| s.count == 0) && self.stack.is_empty()
+        self.stats.iter().all(|s| s.hist.is_empty()) && self.stack.is_empty()
     }
 
     /// Fold another recorder's *completed* frames into this one (open
@@ -261,14 +158,9 @@ impl Recorder {
     pub fn merge_from(&mut self, other: &Recorder) {
         for (id, o) in other.stats.iter().enumerate() {
             let s = &mut self.stats[id];
-            s.count += o.count;
             s.incl_ns += o.incl_ns;
             s.excl_ns += o.excl_ns;
-            s.sum_ns += o.sum_ns;
-            s.max_ns = s.max_ns.max(o.max_ns);
-            for (b, &c) in o.hist.buckets.iter().enumerate() {
-                s.hist.buckets[b] += c;
-            }
+            s.hist.merge(&o.hist);
         }
         for (k, p) in &other.paths {
             let slot = self.paths.entry(k.clone()).or_default();
@@ -291,32 +183,23 @@ mod tests {
 
     #[test]
     fn histogram_buckets_are_powers_of_two() {
-        let mut h = NsHistogram::new();
-        for ns in [0u64, 1, 2, 3, 4, 7, 8, 1023, 1024, u64::MAX] {
-            h.record(ns);
+        // Each frame's elapsed time lands in its log2 bucket.
+        let mut r = Recorder::new();
+        let mut t = 0;
+        for ns in [0u64, 1, 2, 3, 4, 7, 8, 1023, 1024] {
+            r.enter(Span::MemTouch, t);
+            t += ns;
+            r.exit(t);
         }
-        assert_eq!(h.count(), 10);
-        assert_eq!(h.buckets()[0], 1); // the zero
-        assert_eq!(h.buckets()[1], 1); // [1,2)
-        assert_eq!(h.buckets()[2], 2); // [2,4): 2, 3
-        assert_eq!(h.buckets()[3], 2); // [4,8): 4, 7
-        assert_eq!(h.buckets()[4], 1); // [8,16): 8
-        assert_eq!(h.buckets()[10], 1); // [512,1024): 1023
-        assert_eq!(h.buckets()[11], 1); // [1024,2048): 1024
-        assert_eq!(h.buckets()[64], 1); // top bucket: u64::MAX
-    }
-
-    #[test]
-    fn histogram_quantiles_return_bucket_upper_bounds() {
-        let mut h = NsHistogram::new();
-        assert_eq!(h.quantile_upper(0.5), 0);
-        for _ in 0..99 {
-            h.record(3); // bucket 2, upper bound 4
-        }
-        h.record(1_000_000); // bucket 20, upper bound 1 << 20
-        assert_eq!(h.quantile_upper(0.5), 4);
-        assert_eq!(h.quantile_upper(0.99), 4);
-        assert_eq!(h.quantile_upper(1.0), 1 << 20);
+        let rows = r.stat(Span::MemTouch).hist.rows();
+        assert_eq!(rows[0], (0, 1)); // the zero
+        assert_eq!(rows[1], (1, 1)); // [1,2)
+        assert_eq!(rows[2], (2, 2)); // [2,4): 2, 3
+        assert_eq!(rows[3], (4, 2)); // [4,8): 4, 7
+        assert_eq!(rows[4], (8, 1)); // [8,16): 8
+        assert_eq!(rows[10], (512, 1)); // [512,1024): 1023
+        assert_eq!(rows[11], (1024, 1)); // [1024,2048): 1024
+        assert_eq!(r.stat(Span::MemTouch).hist.count(), 9);
     }
 
     #[test]
@@ -350,7 +233,7 @@ mod tests {
         r.exit(40);
         r.exit(40);
         let s = r.stat(Span::MemFault);
-        assert_eq!(s.count, 2);
+        assert_eq!(s.hist.count(), 2);
         // Only the outer activation contributes inclusive time.
         assert_eq!(s.incl_ns, 40);
         // Exclusive still tiles: inner 10 + outer (40 - 10) = 40.

@@ -1,13 +1,14 @@
 //! Frozen, exportable form of one profiling session.
 //!
 //! [`PerfReport`] snapshots a [`Recorder`] into plain data that the CLI,
-//! the BENCH manifest, the Perfetto exporter, and the Prometheus
-//! exposition can all consume without holding the thread-local recorder.
+//! the BENCH manifest and the Perfetto exporter can all consume without
+//! holding the thread-local recorder.
 //! All serialization here is hand-rolled and deterministic: spans are in
 //! registry order, paths in lexicographic stack order, and floats are
 //! fixed-precision — identical inputs give byte-identical output.
 
-use crate::recorder::{NsHistogram, Recorder};
+use crate::hist::LatencyHistogram;
+use crate::recorder::Recorder;
 use crate::span::Span;
 
 /// Prefix for every collapsed-stack line (the flamegraph root frame).
@@ -24,23 +25,19 @@ pub struct SpanAgg {
     pub incl_ns: u64,
     /// Self time (elapsed minus direct children).
     pub excl_ns: u64,
-    /// Sum of per-frame elapsed time (histogram `_sum`).
-    pub sum_ns: u64,
-    /// Largest single frame.
-    pub max_ns: u64,
-    /// Per-frame elapsed-time histogram (power-of-two ns buckets).
-    pub hist: NsHistogram,
+    /// Per-frame elapsed-time histogram, ns.
+    pub hist: LatencyHistogram,
 }
 
 impl SpanAgg {
-    /// Median per-frame latency (power-of-two upper bound).
+    /// Median per-frame latency (interpolated within its log2 bucket).
     pub fn p50_ns(&self) -> u64 {
-        self.hist.quantile_upper(0.50)
+        self.hist.p50()
     }
 
-    /// Tail per-frame latency (power-of-two upper bound).
+    /// Tail per-frame latency (interpolated within its log2 bucket).
     pub fn p99_ns(&self) -> u64 {
-        self.hist.quantile_upper(0.99)
+        self.hist.p99()
     }
 }
 
@@ -133,14 +130,12 @@ impl PerfReport {
             .stats()
             .iter()
             .enumerate()
-            .filter(|(_, s)| s.count > 0)
+            .filter(|(_, s)| !s.hist.is_empty())
             .map(|(id, s)| SpanAgg {
                 span: Span::from_id(id).expect("stats indexed by registry"),
-                count: s.count,
+                count: s.hist.count(),
                 incl_ns: s.incl_ns,
                 excl_ns: s.excl_ns,
-                sum_ns: s.sum_ns,
-                max_ns: s.max_ns,
                 hist: s.hist.clone(),
             })
             .collect();
@@ -230,7 +225,7 @@ impl PerfReport {
             s.push_str(&format!("\"count\": {}, ", a.count));
             s.push_str(&format!("\"incl_ns\": {}, ", a.incl_ns));
             s.push_str(&format!("\"excl_ns\": {}, ", a.excl_ns));
-            s.push_str(&format!("\"max_ns\": {}, ", a.max_ns));
+            s.push_str(&format!("\"max_ns\": {}, ", a.hist.max()));
             s.push_str(&format!("\"p50_ns\": {}, ", a.p50_ns()));
             s.push_str(&format!("\"p99_ns\": {}}}", a.p99_ns()));
             s.push_str(if i + 1 < self.spans.len() {

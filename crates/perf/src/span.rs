@@ -3,8 +3,7 @@
 //! Every instrumented hot path in the workspace is named here, once, so
 //! that span ids are dense `usize` indices (per-span aggregation is an
 //! array lookup, not a map probe) and every surface — the `agp perf`
-//! table, collapsed stacks, the Prometheus exposition, the BENCH
-//! manifest — agrees on the taxonomy.
+//! table, collapsed stacks, the BENCH manifest — agrees on the taxonomy.
 //!
 //! Naming convention: `<layer>.<operation>`, where the layer matches the
 //! crate doing the work (`sim` = the cluster event loop, `mem` = the

@@ -67,9 +67,9 @@ grep -q '"registry.jobs2"' BENCH_agp.json
 cargo run --release -p agp-cli -- run moreira --scale quick --jobs 2 --progress \
   --snapshot-out snapshot.jsonl > /dev/null
 test -s snapshot.jsonl
-# Self-profiler smoke: span table, flamegraph export, Prometheus text.
+# Self-profiler smoke: span table, JSON profile, flamegraph export.
 cargo run --release -p agp-cli -- perf fig6 \
-  --json perf.json --collapsed perf.collapsed --prometheus perf.prom
+  --json perf.json --collapsed perf.collapsed
 cargo run --release -p agp-cli -- explain fig9 --policy so --against orig \
   --json explain.json --bench-out BENCH_agp.json
 cargo run --release -p agp-cli -- chaos --plan plans/smoke.json --verify \
