@@ -22,7 +22,10 @@
 // crate-wide exemption from clippy.toml's clock ban.
 #![allow(clippy::disallowed_methods)]
 
-use agp_cluster::{ClusterConfig, ClusterSim, JobSpec, MetricsSnapshot, MonitorHub, ScheduleMode};
+use agp_cluster::{
+    incident_dump, ClusterConfig, ClusterSim, JobSpec, MetricsSnapshot, MonitorHub, RunResult,
+    ScheduleMode, SimError, Watchdog,
+};
 use agp_core::PolicyConfig;
 use agp_experiments::{
     all_experiments, chaos_demo, default_tolerances, find, manifest_of, profile_config, run_pool,
@@ -31,7 +34,7 @@ use agp_experiments::{
 use agp_faults::FaultPlan;
 use agp_metrics::report::{bar_chart, sparkline};
 use agp_metrics::{BenchManifest, ParityManifest, Table};
-use agp_obs::flight::{self, FlightConfig};
+use agp_obs::flight::RING_EVENTS;
 use agp_obs::{shared, Collector, JsonlWriter, ObsLink, RingBuffer, SharedSink};
 use agp_sim::SimDur;
 use agp_telemetry::PerfettoTrace;
@@ -117,9 +120,7 @@ fn print_usage() {
          \x20 --snapshot-out PATH               append every MetricsSnapshot as a JSONL stream\n\
          \x20 --csv                             emit tables as CSV\n\
          \x20 --json                            emit the raw experiment output as JSON\n\
-         \x20 --trace                           print the experiments' paging traces\n\
-         \x20 --flight-recorder                 arm the black-box recorder (see FLIGHT RECORDER)\n\
-         \x20 --incident-out PATH               incident dump path (default incident.json)\n\n\
+         \x20 --trace                           print the experiments' paging traces\n\n\
          SIM OPTIONS:\n\
          \x20 --bench LU|SP|CG|IS|MG            workload (default LU)\n\
          \x20 --class A|B|C                     problem class (default B)\n\
@@ -135,7 +136,8 @@ fn print_usage() {
          \x20 --obs-budget K                    retain at most K events in memory; drops are reported\n\
          \x20 --check-invariants                sweep conservation/coherence invariants during the run\n\
          \x20 --faults PATH                     inject a deterministic fault plan (JSON, see `agp chaos --emit-plan`)\n\
-         \x20 --flight-recorder / --incident-out PATH / --stall-slo SECS / --queue-limit N\n\
+         \x20 --flight-recorder / --incident-out PATH / --stall-slo SECS /\n\
+         \x20 --no-progress-slo SECS / --queue-limit N\n\
          \x20                                   see FLIGHT RECORDER below\n\n\
          CHAOS OPTIONS:\n\
          \x20 --plan PATH                       fault plan JSON (default: the built-in smoke plan)\n\
@@ -151,14 +153,15 @@ fn print_usage() {
          \x20 --findings DIR                    where reproducers + findings.json land (default findings/)\n\
          \x20 --shrink-budget N                 oracle calls per delta-debugged finding (default 160)\n\
          \x20 --replay-corpus DIR               re-classify committed reproducers, exit 2 on verdict drift\n\
-         \x20 --flight-recorder / --incident-out PATH / --stall-slo SECS / --queue-limit N\n\
+         \x20 --flight-recorder / --incident-out PATH / --stall-slo SECS /\n\
+         \x20 --no-progress-slo SECS / --queue-limit N\n\
          \x20                                   see FLIGHT RECORDER below\n\
          \x20 exit codes: 0 clean / no findings, 2 findings or corpus regressions, 1 error\n\n\
          POSTMORTEM OPTIONS:\n\
          \x20 --json PATH                       write the postmortem report as deterministic JSON\n\n\
-         FLIGHT RECORDER (run / sim / chaos):\n\
-         \x20 --flight-recorder                 always-on black box: ring-buffer the last events,\n\
-         \x20                                   samples, and snapshots; arm deterministic watchdogs\n\
+         FLIGHT RECORDER (sim / chaos):\n\
+         \x20 --flight-recorder                 black box: ring-buffer the run's last 4096 events\n\
+         \x20                                   and arm deterministic watchdogs\n\
          \x20 --incident-out PATH               where a frozen incident dump is written (default incident.json)\n\
          \x20 --stall-slo SECS                  trip when a job makes no progress for SECS of sim time\n\
          \x20 --no-progress-slo SECS            trip when EVERY unfinished job stalls for SECS — the hang detector\n\
@@ -212,16 +215,14 @@ fn cmd_list() -> Result<(), String> {
     Ok(())
 }
 
-/// The `--flight-recorder` flag family shared by `run`, `sim`, and
-/// `chaos`: whether to arm the black-box recorder, where a frozen
-/// incident dump lands, and the optional watchdog rule knobs.
+/// The `--flight-recorder` flag family shared by `sim` and `chaos`:
+/// whether to record and watch the run, where an incident dump lands,
+/// and the watchdog's rules.
 #[derive(Clone, Debug, Default)]
 struct FlightArgs {
     armed: bool,
     incident_out: Option<String>,
-    stall_slo_secs: Option<u64>,
-    queue_limit: Option<u64>,
-    no_progress_slo_secs: Option<u64>,
+    watchdog: Watchdog,
 }
 
 impl FlightArgs {
@@ -229,35 +230,21 @@ impl FlightArgs {
     /// Returns `Ok(true)` when the token (and possibly its value) was
     /// taken, `Ok(false)` when it is not a flight flag.
     fn accept(&mut self, arg: &str, it: &mut std::slice::Iter<'_, String>) -> Result<bool, String> {
+        let mut num = |name: &str| -> Result<u64, String> {
+            it.next()
+                .ok_or(format!("{name} needs a value"))?
+                .parse()
+                .map_err(|e| format!("{name}: {e}"))
+        };
+        let secs = |s: u64| SimDur::from_us(s.saturating_mul(1_000_000));
         match arg {
             "--flight-recorder" => self.armed = true,
             "--incident-out" => {
                 self.incident_out = Some(it.next().ok_or("--incident-out needs a value")?.clone());
             }
-            "--stall-slo" => {
-                self.stall_slo_secs = Some(
-                    it.next()
-                        .ok_or("--stall-slo needs a value")?
-                        .parse()
-                        .map_err(|e| format!("--stall-slo: {e}"))?,
-                );
-            }
-            "--queue-limit" => {
-                self.queue_limit = Some(
-                    it.next()
-                        .ok_or("--queue-limit needs a value")?
-                        .parse()
-                        .map_err(|e| format!("--queue-limit: {e}"))?,
-                );
-            }
-            "--no-progress-slo" => {
-                self.no_progress_slo_secs = Some(
-                    it.next()
-                        .ok_or("--no-progress-slo needs a value")?
-                        .parse()
-                        .map_err(|e| format!("--no-progress-slo: {e}"))?,
-                );
-            }
+            "--stall-slo" => self.watchdog.stall_slo = Some(secs(num(arg)?)),
+            "--queue-limit" => self.watchdog.queue_limit = Some(num(arg)?),
+            "--no-progress-slo" => self.watchdog.no_progress = Some(secs(num(arg)?)),
             _ => return Ok(false),
         }
         Ok(true)
@@ -267,17 +254,9 @@ impl FlightArgs {
         self.incident_out.as_deref().unwrap_or("incident.json")
     }
 
-    /// Arm the process-global recorder (no-op without `--flight-recorder`).
-    fn arm(&self) {
+    /// Say where a dump would go (no-op without `--flight-recorder`).
+    fn announce(&self) {
         if self.armed {
-            flight::arm(FlightConfig {
-                stall_slo_us: self.stall_slo_secs.map(|s| s.saturating_mul(1_000_000)),
-                queue_limit: self.queue_limit,
-                no_progress_us: self
-                    .no_progress_slo_secs
-                    .map(|s| s.saturating_mul(1_000_000)),
-                ..FlightConfig::default()
-            });
             eprintln!(
                 "flight recorder: armed (incident dump → {})",
                 self.incident_path()
@@ -285,32 +264,54 @@ impl FlightArgs {
         }
     }
 
-    /// Route a failed run's error through the recorder: if the ring froze
-    /// (watchdog trip or error unwind), write the incident dump next to
-    /// the error message. Infallible by design — dump-write problems are
-    /// appended to the error rather than masking it.
-    fn on_error(&self, err: String) -> String {
-        if !self.armed {
-            return err;
+    /// Run `cfg` with `sinks` attached. Armed, the run also gets its own
+    /// flight ring and the watchdog, and an error from the run writes
+    /// the incident dump and names it in the message. Dump-write
+    /// problems are appended to the error rather than masking it; a
+    /// config `ClusterSim::new` rejects never ran and has no dump.
+    fn run(&self, cfg: &ClusterConfig, mut sinks: Vec<SharedSink>) -> Result<RunResult, String> {
+        let ring = self.armed.then(|| shared(RingBuffer::new(RING_EVENTS)));
+        if let Some(ring) = &ring {
+            sinks.push(ring.clone() as SharedSink);
         }
-        let path = self.incident_path();
-        match flight::take_incident() {
-            Some(dump) => match std::fs::write(path, dump.to_json_string()) {
-                Ok(()) => {
-                    eprintln!("flight recorder: wrote incident dump to {path}");
-                    format!("{err} (incident dump: {path})")
-                }
-                Err(e) => format!("{err} (incident dump write failed: {path}: {e})"),
-            },
-            None => err,
+        let link = ObsLink::fanout(sinks);
+        let mut sim = ClusterSim::new(cfg.clone())?;
+        sim.attach_observer(&link);
+        if self.armed {
+            sim.attach_watchdog(self.watchdog);
+        }
+        let outcome = sim.run();
+        drop(link);
+        match (outcome, ring) {
+            (Ok(r), _) => Ok(r),
+            (Err(e), None) => Err(e.to_string()),
+            (Err(e), Some(ring)) => Err(self.write_incident(&e, ring, cfg)),
         }
     }
 
-    /// Finish a successful run: report that the armed window is clean and
-    /// disarm. A clean run never writes a dump.
+    fn write_incident(
+        &self,
+        err: &SimError,
+        ring: Arc<Mutex<RingBuffer>>,
+        cfg: &ClusterConfig,
+    ) -> String {
+        let dump = match unwrap_sink(ring) {
+            Ok(ring) => incident_dump(ring, cfg, err),
+            Err(e) => return format!("{err} ({e})"),
+        };
+        let path = self.incident_path();
+        match std::fs::write(path, dump.to_json_string()) {
+            Ok(()) => {
+                eprintln!("flight recorder: wrote incident dump to {path}");
+                format!("{err} (incident dump: {path})")
+            }
+            Err(e) => format!("{err} (incident dump write failed: {path}: {e})"),
+        }
+    }
+
+    /// Report that an armed run finished clean: no incident, no dump.
     fn on_success(&self) {
         if self.armed {
-            flight::disarm();
             eprintln!("flight recorder: clean run, no incident");
         }
     }
@@ -324,7 +325,6 @@ struct Flags {
     jobs: usize,
     progress: bool,
     snapshot_out: Option<String>,
-    flight: FlightArgs,
 }
 
 fn parse_flags(args: &[String]) -> Result<(Vec<String>, Flags), String> {
@@ -336,14 +336,10 @@ fn parse_flags(args: &[String]) -> Result<(Vec<String>, Flags), String> {
         jobs: 1,
         progress: false,
         snapshot_out: None,
-        flight: FlightArgs::default(),
     };
     let mut positional = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        if flags.flight.accept(a.as_str(), &mut it)? {
-            continue;
-        }
         match a.as_str() {
             "--scale" => {
                 let v = it.next().ok_or("--scale needs a value")?;
@@ -460,9 +456,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         vec![find(id).ok_or_else(|| format!("no experiment '{id}' (see `agp list`)"))?]
     };
 
-    // Arm the flight recorder (if requested) before any sim is
-    // constructed, so every run's observer fanout splices the ring in.
-    flags.flight.arm();
     // Arm the global monitor hub before any sim is constructed; the tail
     // thread drains it until the hub sender (and every sim's clone of it)
     // is gone.
@@ -505,7 +498,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     if tail.is_some() {
         MonitorHub::uninstall();
     }
-    let outs = pooled.map_err(|e| flags.flight.on_error(e))?;
+    let outs = pooled?;
     if flags.jobs > 1 {
         eprintln!("all {n} experiment(s) finished in {:.1?}", t0.elapsed());
     }
@@ -519,10 +512,9 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     }
     for out in &outs {
         if let Err(e) = out {
-            return Err(flags.flight.on_error(e.clone()));
+            return Err(e.clone());
         }
     }
-    flags.flight.on_success();
     for out in outs {
         render(&out?, &flags)?;
     }
@@ -667,26 +659,18 @@ fn cmd_sim(args: &[String]) -> Result<(), String> {
         }
         _ => None,
     };
-    flight_args.arm();
-    let run_result = if collector.is_none() && writer.is_none() && budget.is_none() {
-        agp_cluster::run(cfg).map_err(String::from)
-    } else {
-        let mut sinks: Vec<SharedSink> = Vec::new();
-        if let Some(c) = &collector {
-            sinks.push(c.clone() as SharedSink);
-        }
-        if let Some(w) = &writer {
-            sinks.push(w.clone() as SharedSink);
-        }
-        if let Some(b) = &budget {
-            sinks.push(b.clone() as SharedSink);
-        }
-        let link = ObsLink::fanout(sinks);
-        let r = agp_cluster::run_observed(cfg, &link).map_err(String::from);
-        drop(link);
-        r
-    };
-    let r = run_result.map_err(|e| flight_args.on_error(e))?;
+    let mut sinks: Vec<SharedSink> = Vec::new();
+    if let Some(c) = &collector {
+        sinks.push(c.clone() as SharedSink);
+    }
+    if let Some(w) = &writer {
+        sinks.push(w.clone() as SharedSink);
+    }
+    if let Some(b) = &budget {
+        sinks.push(b.clone() as SharedSink);
+    }
+    flight_args.announce();
+    let r = flight_args.run(&cfg, sinks)?;
     flight_args.on_success();
     if let Some(sink) = writer {
         let path = events.as_deref().unwrap_or("");
@@ -848,8 +832,8 @@ fn cmd_chaos(args: &[String]) -> Result<ExitCode, String> {
     }
 
     if do_fuzz || replay_corpus.is_some() {
-        // The verdict harness owns the process-global flight recorder
-        // (fixed rule set, armed per classified run): the demo-run flag
+        // The verdict harness records and watches each classified run
+        // itself (its own ring, a fixed rule set): the demo-run flag
         // families don't compose with it.
         if flight_args.armed || verify || plan_path.is_some() || events.is_some() {
             return Err(
@@ -911,18 +895,14 @@ fn cmd_chaos(args: &[String]) -> Result<ExitCode, String> {
 
     // One observed run: collector for the summary, an in-memory JSONL
     // writer for --verify's byte comparison, a file writer for --events.
-    let run_once = |cfg: ClusterConfig,
-                    capture: bool|
-     -> Result<(agp_cluster::RunResult, agp_obs::ObsCounters, Vec<u8>), String> {
+    let run_once = |capture: bool| -> Result<(RunResult, agp_obs::ObsCounters, Vec<u8>), String> {
         let collector = shared(Collector::new());
         let mem = capture.then(|| shared(JsonlWriter::new(Vec::new())));
         let mut sinks: Vec<SharedSink> = vec![collector.clone() as SharedSink];
         if let Some(m) = &mem {
             sinks.push(m.clone() as SharedSink);
         }
-        let link = ObsLink::fanout(sinks);
-        let r = agp_cluster::run_observed(cfg, &link)?;
-        drop(link);
+        let r = flight_args.run(&cfg, sinks)?;
         let counters = unwrap_sink(collector)?.counters;
         let bytes = match mem {
             Some(m) => unwrap_sink(m)?
@@ -939,13 +919,12 @@ fn cmd_chaos(args: &[String]) -> Result<ExitCode, String> {
         cfg.policy.label(),
         cfg.faults.as_ref().map_or(0, |p| p.faults.len())
     );
-    flight_args.arm();
-    let (r, counters, first) =
-        run_once(cfg.clone(), verify || events.is_some()).map_err(|e| flight_args.on_error(e))?;
+    flight_args.announce();
+    let (r, counters, first) = run_once(verify || events.is_some())?;
     eprintln!("simulated in {:.1?} ({} events)", t0.elapsed(), r.events);
 
     if verify {
-        let (_, _, second) = run_once(cfg.clone(), true).map_err(|e| flight_args.on_error(e))?;
+        let (_, _, second) = run_once(true)?;
         if first != second {
             return Err("verify: same plan + seed produced divergent event streams".into());
         }

@@ -1,0 +1,85 @@
+//! The `--flight-recorder` flag family at the CLI surface:
+//!
+//! * `agp sim` records and watches its one run: the committed trip plan
+//!   aborts it on recovery exhaustion (exit 1), the dump lands at
+//!   `--incident-out`, and `agp postmortem` renders it;
+//! * `agp run` fans many runs out inside the experiment runners, where
+//!   no per-run ring can reach them, so it has no such flags.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+fn agp(args: &[&str]) -> Output {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    Command::new(env!("CARGO_BIN_EXE_agp"))
+        .current_dir(root)
+        .args(args)
+        .output()
+        .expect("spawn agp")
+}
+
+fn code(out: &Output) -> i32 {
+    out.status.code().expect("agp must exit, not die on signal")
+}
+
+fn temp_path(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("agp-flight-cli-{}-{name}", std::process::id()))
+}
+
+#[test]
+fn sim_trip_writes_a_dump_that_postmortem_renders() {
+    let dump = temp_path("incident.json");
+    let report = temp_path("postmortem.json");
+    let _ = std::fs::remove_file(&dump);
+    let sim = agp(&[
+        "sim",
+        "--bench",
+        "CG",
+        "--class",
+        "A",
+        "--nodes",
+        "2",
+        "--jobs",
+        "2",
+        "--mem",
+        "64",
+        "--wired",
+        "24",
+        "--quantum",
+        "5",
+        "--policy",
+        "so,ao,ai,bg",
+        "--faults",
+        "plans/trip.json",
+        "--flight-recorder",
+        "--incident-out",
+        dump.to_str().expect("UTF-8 temp path"),
+    ]);
+    assert_eq!(code(&sim), 1, "the trip plan must abort the run: {sim:?}");
+    let stderr = String::from_utf8_lossy(&sim.stderr);
+    assert!(stderr.contains("recovery_exhausted"), "{stderr}");
+    assert!(dump.is_file(), "the abort writes the incident dump");
+
+    let pm = agp(&[
+        "postmortem",
+        dump.to_str().expect("UTF-8 temp path"),
+        "--json",
+        report.to_str().expect("UTF-8 temp path"),
+    ]);
+    assert_eq!(code(&pm), 0, "{pm:?}");
+    let json = std::fs::read_to_string(&report).expect("postmortem writes --json");
+    assert!(json.contains("\"rule\": \"recovery_exhausted\""), "{json}");
+    let _ = std::fs::remove_file(&dump);
+    let _ = std::fs::remove_file(&report);
+}
+
+#[test]
+fn run_rejects_the_flight_recorder_flag() {
+    let out = agp(&["run", "fig6", "--scale", "quick", "--flight-recorder"]);
+    assert_eq!(code(&out), 1);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown option '--flight-recorder'"),
+        "{stderr}"
+    );
+}

@@ -128,6 +128,18 @@ impl ClusterConfig {
         }
     }
 
+    /// The run's label in incident dumps and monitor snapshots, derived
+    /// from the config shape: `"{jobs}j/{nodes}n {policy} {mode}"`.
+    pub(crate) fn label(&self) -> String {
+        format!(
+            "{}j/{}n {} {:?}",
+            self.jobs.len(),
+            self.nodes,
+            self.policy.label(),
+            self.mode
+        )
+    }
+
     /// Usable (non-wired) memory per node, in pages.
     pub fn usable_pages(&self) -> usize {
         pages_from_mib(self.mem_mib.saturating_sub(self.wired_mib))

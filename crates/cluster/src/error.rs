@@ -68,8 +68,8 @@ pub enum SimError {
         /// Jobs still incomplete.
         unfinished: u32,
     },
-    /// A deterministic watchdog rule tripped with the flight recorder
-    /// armed; the ring is frozen and an incident dump is available.
+    /// A deterministic rule of the run's attached watchdog tripped; the
+    /// run's flight ring holds the incident window.
     WatchdogTrip {
         /// The rule that tripped.
         rule: agp_obs::WatchdogRule,

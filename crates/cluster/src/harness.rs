@@ -1,22 +1,27 @@
 //! The fuzzer's double-run verdict harness.
 //!
-//! [`classify`] runs one configuration **twice** under an armed flight
-//! recorder and maps the outcome pair onto the closed
-//! [`Verdict`](agp_faults::fuzz::Verdict) taxonomy. Two runs because
-//! nondeterminism is itself a verdict: the traces, errors, and incident
-//! dumps of both runs must agree byte for byte, or the finding is
-//! `Nondeterministic` regardless of how either run ended.
+//! [`classify`] runs one configuration **twice**, each run watched by
+//! [`FUZZ_WATCHDOG`] and recorded by its own flight ring, and maps the
+//! outcome pair onto the closed [`Verdict`](agp_faults::fuzz::Verdict)
+//! taxonomy. Two runs because nondeterminism is itself a verdict: the
+//! traces, errors, and incident dumps of both runs must agree byte for
+//! byte, or the finding is `Nondeterministic` regardless of how either
+//! run ended.
 //!
-//! The harness owns the process-global flight recorder while it runs
-//! (arming, collecting the incident, disarming), so callers must not
-//! have their own recorder armed around it.
+//! The rules and the ring are per run, so `classify` may run on any
+//! thread alongside other simulations: neither sees the other's.
 
 use crate::config::ClusterConfig;
 use crate::error::SimError;
 use crate::result::RunResult;
+use crate::sim::ClusterSim;
+use crate::watchdog::{incident_dump, Watchdog};
 use agp_faults::fuzz::Verdict;
-use agp_obs::flight::{self, FlightConfig, IncidentDump};
-use agp_obs::{shared, Collector, JsonlWriter, ObsCounters, ObsLink, SharedSink, WatchdogRule};
+use agp_obs::flight::{IncidentDump, RING_EVENTS};
+use agp_obs::{
+    shared, Collector, JsonlWriter, ObsCounters, ObsLink, RingBuffer, SharedSink, WatchdogRule,
+};
+use agp_sim::SimDur;
 
 /// The fuzz harness's no-progress (hang) bound, sim-µs. Generous: the
 /// worst *legitimate* global stall a generated plan can cause is a full
@@ -27,16 +32,14 @@ pub const FUZZ_NO_PROGRESS_US: u64 = 1_800_000_000;
 /// The fuzz harness's event-queue bound (runaway self-scheduling).
 pub const FUZZ_QUEUE_LIMIT: u64 = 1_000_000;
 
-/// The fixed flight configuration every fuzzed run is classified under.
-/// Part of the reproducibility contract: corpus entries replay against
-/// these exact rules, so the knobs are constants, not CLI flags.
-pub fn fuzz_flight_config() -> FlightConfig {
-    FlightConfig {
-        no_progress_us: Some(FUZZ_NO_PROGRESS_US),
-        queue_limit: Some(FUZZ_QUEUE_LIMIT),
-        ..FlightConfig::default()
-    }
-}
+/// The fixed rules every fuzzed run is classified under. Part of the
+/// reproducibility contract: corpus entries replay against these exact
+/// rules, so the knobs are constants, not CLI flags.
+pub const FUZZ_WATCHDOG: Watchdog = Watchdog {
+    stall_slo: None,
+    queue_limit: Some(FUZZ_QUEUE_LIMIT),
+    no_progress: Some(SimDur::from_us(FUZZ_NO_PROGRESS_US)),
+};
 
 /// Everything the fuzzer needs to triage one classified run.
 #[derive(Clone, Debug)]
@@ -52,7 +55,7 @@ pub struct VerdictReport {
     pub trace: Vec<u8>,
     /// The run error's rendering, when the run aborted.
     pub error: Option<String>,
-    /// The frozen incident dump, when the flight recorder froze.
+    /// The incident dump, when the run aborted.
     pub incident: Option<IncidentDump>,
 }
 
@@ -98,18 +101,28 @@ struct RunCapture {
     incident: Option<IncidentDump>,
 }
 
-fn one_run(cfg: &ClusterConfig, watch: &FlightConfig) -> Result<RunCapture, String> {
-    flight::arm(watch.clone());
+fn one_run(cfg: &ClusterConfig) -> Result<RunCapture, String> {
     let collector = shared(Collector::new());
     let mem = shared(JsonlWriter::new(Vec::new()));
+    let ring = shared(RingBuffer::new(RING_EVENTS));
     let link = ObsLink::fanout(vec![
         collector.clone() as SharedSink,
         mem.clone() as SharedSink,
+        ring.clone() as SharedSink,
     ]);
-    let outcome = crate::run_observed(cfg.clone(), &link);
+    let built = ClusterSim::new(cfg.clone()).map(|mut sim| {
+        sim.attach_observer(&link);
+        sim.attach_watchdog(FUZZ_WATCHDOG);
+        sim.run()
+    });
     drop(link);
-    let incident = flight::take_incident();
-    flight::disarm();
+    let ring = unwrap_shared(ring)?;
+    // A config `ClusterSim::new` rejects never ran, so it has no dump.
+    let incident = match &built {
+        Ok(Err(e)) => Some(incident_dump(ring, cfg, e)),
+        _ => None,
+    };
+    let outcome = built.and_then(|run| run);
     let counters = unwrap_shared(collector)?.counters;
     let trace = unwrap_shared(mem)?
         .finish()
@@ -130,18 +143,13 @@ fn unwrap_shared<T>(sink: std::sync::Arc<std::sync::Mutex<T>>) -> Result<T, Stri
         .unwrap_or_else(std::sync::PoisonError::into_inner))
 }
 
-/// Classify `cfg` under the fixed [`fuzz_flight_config`] rule set.
-pub fn classify(cfg: &ClusterConfig) -> Result<VerdictReport, String> {
-    classify_with(cfg, &fuzz_flight_config())
-}
-
-/// Classify `cfg` under an explicit flight configuration: run twice,
-/// demand byte-identical behavior, then map the (deterministic) outcome
-/// onto the verdict taxonomy. `Err` is harness plumbing only (sink
+/// Classify `cfg` under [`FUZZ_WATCHDOG`]: run twice, demand
+/// byte-identical behavior, then map the (deterministic) outcome onto
+/// the verdict taxonomy. `Err` is harness plumbing only (sink
 /// recovery); every simulation outcome, including aborts, is a verdict.
-pub fn classify_with(cfg: &ClusterConfig, watch: &FlightConfig) -> Result<VerdictReport, String> {
-    let a = one_run(cfg, watch)?;
-    let b = one_run(cfg, watch)?;
+pub fn classify(cfg: &ClusterConfig) -> Result<VerdictReport, String> {
+    let a = one_run(cfg)?;
+    let b = one_run(cfg)?;
     if let Some(diverged) = divergence(&a, &b) {
         return Ok(VerdictReport {
             verdict: Verdict::Nondeterministic,
@@ -224,16 +232,6 @@ mod tests {
     use agp_sim::SimDur;
     use agp_workload::{Benchmark, Class, WorkloadSpec};
 
-    /// The flight recorder is process-global: serialize every test that
-    /// arms it (same pattern as `agp_obs::flight`'s own tests).
-    fn hub_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        match LOCK.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
     fn cfg_with(plan: FaultPlan) -> ClusterConfig {
         let mut cfg = ClusterConfig::paper_defaults(2);
         cfg.mem_mib = 64;
@@ -257,18 +255,15 @@ mod tests {
 
     #[test]
     fn faultless_run_is_clean_and_leaves_no_incident() {
-        let _g = hub_lock();
         let report = classify(&cfg_with(FaultPlan::empty(3))).unwrap();
         assert_eq!(report.verdict, Verdict::Clean);
         assert!(report.error.is_none());
         assert!(report.incident.is_none());
         assert!(!report.trace.is_empty());
-        assert!(!flight::armed(), "harness must disarm after itself");
     }
 
     #[test]
     fn surviving_faults_classify_as_recovered_with_tiling_counters() {
-        let _g = hub_lock();
         let cfg = cfg_with(FaultPlan::smoke(3));
         let report = classify(&cfg).unwrap();
         // Recovered means the faults fired and the counters tiled.
@@ -284,7 +279,6 @@ mod tests {
 
     #[test]
     fn exhausted_recovery_classifies_as_watchdog_trip_with_incident() {
-        let _g = hub_lock();
         let report = classify(&cfg_with(FaultPlan::trip(3))).unwrap();
         assert_eq!(report.verdict, Verdict::WatchdogTrip);
         let incident = report.incident.expect("trip freezes the ring");
@@ -293,7 +287,6 @@ mod tests {
 
     #[test]
     fn a_total_barrier_blackout_classifies_as_hang() {
-        let _g = hub_lock();
         // Job 0's releases always drop and the re-issue timeout is pushed
         // past the no-progress bound: once job 1 finishes, nothing in the
         // cluster makes progress until the watchdog calls it a hang.

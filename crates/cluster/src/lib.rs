@@ -40,10 +40,11 @@ mod watchdog;
 
 pub use config::{ClusterConfig, JobSpec, ScheduleMode};
 pub use error::SimError;
-pub use harness::{classify, classify_with, counter_tiling_violation, VerdictReport};
+pub use harness::{classify, counter_tiling_violation, VerdictReport};
 pub use monitor::{MetricsSnapshot, MonitorHub};
 pub use result::{JobResult, NodeReport, RunResult};
 pub use sim::ClusterSim;
+pub use watchdog::{incident_dump, Watchdog};
 
 /// Run a configuration to completion (convenience wrapper).
 ///

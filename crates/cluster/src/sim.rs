@@ -42,8 +42,7 @@ use crate::error::SimError;
 use crate::monitor::{MetricsSnapshot, MonitorHub, MonitorTap};
 use crate::proc::{BlockKind, CurStep, PState, SimProc};
 use crate::result::{JobResult, NodeReport, RunResult};
-use crate::watchdog::{self, Trip, Watchdog};
-use agp_obs::flight;
+use crate::watchdog::{Trip, Watchdog};
 
 /// One node's hardware + kernel software.
 struct Node {
@@ -55,6 +54,21 @@ struct Node {
     /// run's result.
     crashed_stats: EngineStats,
     crashed_bg_cleaned: u64,
+}
+
+impl Node {
+    /// This node's engine statistics and background-cleaned pages since
+    /// the run started: the live engine's counts plus those of every
+    /// engine a crash discarded. Every view of the counts (snapshots,
+    /// gauges, the result) reads them here, so none restarts at a crash.
+    fn engine_counts(&self) -> (EngineStats, u64) {
+        let mut stats = self.crashed_stats;
+        stats += self.engine.stats();
+        (
+            stats,
+            self.crashed_bg_cleaned + self.engine.bg_cleaned_pages(),
+        )
+    }
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -165,15 +179,9 @@ pub struct ClusterSim {
     monitor_seq: u64,
     /// Label stamped into every snapshot (empty when unmonitored).
     monitor_label: String,
-    /// Whether the *caller* attached an enabled observer. Gates `Sample`
-    /// scheduling: the flight recorder self-attaches a sink when armed,
-    /// and keying samples off this flag (not `obs.enabled()`) keeps an
-    /// armed-but-unobserved run's event stream and `events` counter
-    /// byte-identical to an unarmed one.
-    caller_obs: bool,
-    /// Watchdog rule set, snapshotted from the armed flight recorder at
-    /// run start (disarmed and inert otherwise).
-    watchdog: Watchdog,
+    /// Watchdog rules attached by the caller
+    /// ([`ClusterSim::attach_watchdog`]); `None` evaluates nothing.
+    watchdog: Option<Watchdog>,
     /// Last instant each job made observable progress (dispatch, I/O
     /// completion, barrier release) — the job-stall rule's input.
     job_last_progress: Vec<SimTime>,
@@ -292,8 +300,7 @@ impl ClusterSim {
             monitor: MonitorHub::current(),
             monitor_seq: 0,
             monitor_label: String::new(),
-            caller_obs: false,
-            watchdog: Watchdog::default(),
+            watchdog: None,
             job_last_progress: vec![SimTime::ZERO; njobs],
             pending_trip: None,
             last_sweep: SimTime::ZERO,
@@ -306,20 +313,6 @@ impl ClusterSim {
     /// itself emits under [`SRC_CLUSTER`]. The link's shared clock is
     /// advanced by the event loop.
     pub fn attach_observer(&mut self, link: &ObsLink) {
-        self.caller_obs = link.enabled();
-        self.distribute_observer(link);
-    }
-
-    /// Distribute `link` (spliced with the flight recorder's sink when
-    /// one is armed) to every instrumented component. Shared by
-    /// [`ClusterSim::attach_observer`] and the recorder's self-attach
-    /// path, which must not count as a caller observer.
-    fn distribute_observer(&mut self, link: &ObsLink) {
-        let link = if flight::armed() {
-            link.extended(flight::sink())
-        } else {
-            link.clone()
-        };
         self.gauge_obs.clear();
         for (ni, node) in self.nodes.iter_mut().enumerate() {
             let tagged = link.with_src(ni as u32);
@@ -332,6 +325,16 @@ impl ClusterSim {
             barrier.set_observer(link.with_src(j as u32));
         }
         self.obs = link.with_src(SRC_CLUSTER);
+    }
+
+    /// Watch this run with `watchdog`'s sim-time rules. A watched run
+    /// emits `io_exhausted`/`barrier_exhausted` when a recovery budget
+    /// runs out and aborts with a `recovery_exhausted`
+    /// [`SimError::WatchdogTrip`]; an unwatched run forces the outcome
+    /// and carries on. The rules reach this run only: other runs in the
+    /// process are not watched by them.
+    pub fn attach_watchdog(&mut self, watchdog: Watchdog) {
+        self.watchdog = Some(watchdog);
     }
 
     /// Attach a live-monitor tap directly (see [`MonitorHub::install`]
@@ -360,54 +363,10 @@ impl ClusterSim {
         // experiment runners fan configurations out one worker thread
         // each, and those threads are gone by reporting time.
         agp_perf::flush();
-        // Any abort freezes the armed flight ring so the incident window
-        // survives the unwind. Watchdog trips already froze at trip time;
-        // `freeze` is first-wins, so this is a no-op for them.
-        if let Err(e) = &res {
-            if flight::armed() {
-                flight::freeze(
-                    watchdog::trigger_for_error(e),
-                    agp_sim::SimTime::from_us(watchdog::error_at_us(e)),
-                );
-            }
-        }
         res
     }
 
-    /// The run's label in incident dumps and monitor snapshots, derived
-    /// from the config shape: `"{jobs}j/{nodes}n {policy} {mode}"`.
-    fn label(&self) -> String {
-        format!(
-            "{}j/{}n {} {:?}",
-            self.cfg.jobs.len(),
-            self.cfg.nodes,
-            self.cfg.policy.label(),
-            self.cfg.mode
-        )
-    }
-
-    /// Incident-dump identity for this run: label, seed, config
-    /// fingerprint, job names, and the pid→job map.
-    fn flight_meta(&self) -> flight::RunMeta {
-        flight::RunMeta {
-            scenario: self.label(),
-            seed: self.cfg.seed,
-            config_fp: watchdog::config_fingerprint(&self.cfg),
-            jobs: self.cfg.jobs.iter().map(|j| j.name.clone()).collect(),
-            pid_job: self.procs.iter().map(|p| (p.pid.0, p.job.0)).collect(),
-        }
-    }
-
     fn run_inner(mut self) -> Result<RunResult, SimError> {
-        self.watchdog = Watchdog::from_flight();
-        if flight::armed() {
-            flight::note_run(self.flight_meta());
-            // A run without a caller observer still feeds the recorder:
-            // splice the flight sink into an otherwise-disabled fanout.
-            if !self.obs.enabled() {
-                self.distribute_observer(&ObsLink::disabled());
-            }
-        }
         match self.cfg.mode {
             ScheduleMode::Gang => {
                 let plan = self
@@ -418,15 +377,11 @@ impl ClusterSim {
             }
             ScheduleMode::Batch => self.start_batch_job(0)?,
         }
-        // Gate on the *caller's* observer, not `self.obs`: arming the
-        // flight recorder enables `self.obs` for its own sink, and
-        // scheduling Sample events off that would change the event count
-        // (and thus the trace bytes) of an armed run.
-        if self.cfg.sample_every.is_some() && self.caller_obs {
+        if self.cfg.sample_every.is_some() && self.obs.enabled() {
             self.queue.push(SimTime::ZERO, Event::Sample);
         }
         if self.monitor.is_some() {
-            self.monitor_label = self.label();
+            self.monitor_label = self.cfg.label();
             self.queue.push(SimTime::ZERO, Event::Monitor);
         }
         for idx in 0..self.timed_faults.len() {
@@ -465,20 +420,21 @@ impl ClusterSim {
             // Sweeps are due every N events *or* when sim time has
             // advanced past the time-based rules' cadence — a stalled
             // queue delivers events too rarely for the count alone.
-            let sweep_due = self.events.is_multiple_of(INVARIANT_SWEEP_EVERY)
-                || self
-                    .watchdog
-                    .time_cadence()
-                    .is_some_and(|c| self.now.since(self.last_sweep) >= c);
-            if self.watchdog.sweeps() && sweep_due {
-                self.last_sweep = self.now;
-                if let Some(trip) = self.watchdog.sweep(
-                    self.now,
-                    &self.job_last_progress,
-                    &self.completions,
-                    self.queue.len(),
-                ) {
-                    return Err(self.trip_error(trip));
+            if let Some(dog) = self.watchdog {
+                let due = self.events.is_multiple_of(INVARIANT_SWEEP_EVERY)
+                    || dog
+                        .time_cadence()
+                        .is_some_and(|c| self.now.since(self.last_sweep) >= c);
+                if due {
+                    self.last_sweep = self.now;
+                    if let Some(trip) = dog.sweep(
+                        self.now,
+                        &self.job_last_progress,
+                        &self.completions,
+                        self.queue.len(),
+                    ) {
+                        return Err(self.trip_error(trip));
+                    }
                 }
             }
             if self.completions.iter().all(|c| c.is_some()) {
@@ -499,19 +455,8 @@ impl ClusterSim {
         Ok(self.into_result())
     }
 
-    /// Freeze the flight ring on a watchdog trip and build the abort
-    /// error. The freeze happens here — at trip time — so the ring's last
-    /// entry is the [`ObsEvent::WatchdogTrip`] marker the freeze appends.
-    fn trip_error(&mut self, trip: Trip) -> SimError {
-        flight::freeze(
-            flight::IncidentTrigger::Watchdog {
-                rule: trip.rule,
-                value: trip.value,
-                limit: trip.limit,
-                detail: String::new(),
-            },
-            self.now,
-        );
+    /// The abort error for a watchdog trip at the current instant.
+    fn trip_error(&self, trip: Trip) -> SimError {
         SimError::WatchdogTrip {
             rule: trip.rule,
             value: trip.value,
@@ -527,7 +472,7 @@ impl ClusterSim {
         let faults_major = self
             .nodes
             .iter()
-            .map(|n| n.engine.stats().major_faults)
+            .map(|n| n.engine_counts().0.major_faults)
             .sum();
         let pages_in = self.nodes.iter().map(|n| n.disk.stats().pages_read).sum();
         let pages_out = self
@@ -548,9 +493,6 @@ impl ClusterSim {
             jobs_total: self.completions.len() as u64,
             done,
         };
-        if flight::armed() {
-            flight::mirror_snapshot(&snap.to_json_line());
-        }
         // A consumer that hung up is not the simulation's problem.
         let _ = tap.tx.send(snap);
         self.monitor_seq += 1;
@@ -690,7 +632,7 @@ impl ClusterSim {
                 dirty_pages,
                 disk_backlog_us: node.disk.busy_until().since(now).as_us(),
                 disk_busy_us: node.disk.stats().busy.as_us(),
-                bg_cleaned: node.engine.bg_cleaned_pages(),
+                bg_cleaned: node.engine_counts().1,
             });
             for (pid, rss) in node.kernel.procs_rss() {
                 let dirty = node
@@ -1235,20 +1177,18 @@ impl ClusterSim {
             match outcome {
                 DiskOutcome::Ok => {
                     // Exhaustion (a retry budget fully burned, success
-                    // forced) is an incident, but only the armed watchdog
-                    // observes it — unarmed runs keep their exact trace.
-                    if exhausted && attempt > 0 && self.watchdog.armed() {
+                    // forced) is an incident, but only a watched run
+                    // observes it — unwatched runs keep their exact trace.
+                    if exhausted && attempt > 0 && self.watchdog.is_some() {
                         self.obs.emit(t, || ObsEvent::IoExhausted {
                             node: ni as u32,
                             attempts: attempt,
                         });
-                        if self.watchdog.trips_on_exhaustion() {
-                            self.pending_trip = Some(Trip {
-                                rule: agp_obs::WatchdogRule::RecoveryExhausted,
-                                value: u64::from(attempt),
-                                limit: u64::from(self.recovery.io_retries),
-                            });
-                        }
+                        self.pending_trip = Some(Trip {
+                            rule: agp_obs::WatchdogRule::RecoveryExhausted,
+                            value: u64::from(attempt),
+                            limit: u64::from(self.recovery.io_retries),
+                        });
                     }
                     return node.disk.submit(t, req);
                 }
@@ -1317,19 +1257,17 @@ impl ClusterSim {
             return Ok(());
         }
         // The release goes through; if it was *forced* (every re-issue in
-        // the budget dropped), the armed watchdog records the exhaustion.
-        if self.recovery.barrier_exhausted(attempt) && self.watchdog.armed() {
+        // the budget dropped), a watched run records the exhaustion.
+        if self.recovery.barrier_exhausted(attempt) && self.watchdog.is_some() {
             self.obs.emit(now, || ObsEvent::BarrierExhausted {
                 job: job as u32,
                 attempts: attempt,
             });
-            if self.watchdog.trips_on_exhaustion() {
-                self.pending_trip = Some(Trip {
-                    rule: agp_obs::WatchdogRule::RecoveryExhausted,
-                    value: u64::from(attempt),
-                    limit: u64::from(self.recovery.barrier_retries),
-                });
-            }
+            self.pending_trip = Some(Trip {
+                rule: agp_obs::WatchdogRule::RecoveryExhausted,
+                value: u64::from(attempt),
+                limit: u64::from(self.recovery.barrier_retries),
+            });
         }
         self.release_barrier(job)
     }
@@ -1586,12 +1524,11 @@ impl ClusterSim {
             .nodes
             .into_iter()
             .map(|n| {
-                let mut engine = n.crashed_stats;
-                engine += n.engine.stats();
+                let (engine, bg_cleaned_pages) = n.engine_counts();
                 NodeReport {
                     disk: n.disk.stats().clone(),
                     engine,
-                    bg_cleaned_pages: n.crashed_bg_cleaned + n.engine.bg_cleaned_pages(),
+                    bg_cleaned_pages,
                     trace: n.trace,
                 }
             })

@@ -1,10 +1,14 @@
-//! Deterministic watchdog rules evaluated by the simulation loop.
+//! Deterministic watchdog rules evaluated by the simulation loop, and
+//! the incident dump of a run they (or any other error) abort.
 //!
-//! When the flight recorder (`agp_obs::flight`) is armed, the sim loop
-//! evaluates a small rule set **in sim time** — never against the host
+//! A run's rules are an explicit input: [`Watchdog`] reaches the sim
+//! through [`crate::ClusterSim::attach_watchdog`], one run at a time, so
+//! runs on other threads of the same process are never watched by it.
+//! The loop evaluates the rules **in sim time** — never against the host
 //! clock — so a trip is reproducible: the same seed and config trip the
-//! same rule at the same simulated instant, and the frozen incident dump
-//! is byte-identical across runs.
+//! same rule at the same simulated instant, and the incident dump built
+//! from the run's flight ring ([`incident_dump`]) is byte-identical
+//! across runs.
 //!
 //! The taxonomy ([`agp_obs::WatchdogRule`]):
 //!
@@ -13,7 +17,8 @@
 //!   as a rule trip so post-mortems triage it like any other);
 //! * **recovery_exhausted** — a recovery policy burned its whole retry
 //!   budget and forced an outcome ([`agp_faults::RecoveryPolicy`]'s
-//!   `io_retries` or `barrier_retries`);
+//!   `io_retries` or `barrier_retries`); an attached watchdog always
+//!   trips on it;
 //! * **job_stall** — an unfinished job made no observable progress
 //!   (dispatch, I/O completion, barrier release) past the configured SLO;
 //! * **no_progress** — *every* unfinished job stalled at once: sim time
@@ -27,9 +32,10 @@
 //! queue length vs bound, attempts vs budget, and violations (1) vs
 //! allowed (0) for the invariant rule.
 
+use crate::config::ClusterConfig;
 use crate::error::SimError;
-use agp_obs::flight::{self, IncidentTrigger};
-use agp_obs::WatchdogRule;
+use agp_obs::flight::{IncidentDump, IncidentTrigger, RunMeta};
+use agp_obs::{RingBuffer, WatchdogRule};
 use agp_sim::{SimDur, SimTime};
 
 /// One tripped rule reading.
@@ -43,60 +49,29 @@ pub(crate) struct Trip {
     pub limit: u64,
 }
 
-/// The armed rule set, snapshotted from the flight recorder's
-/// [`flight::FlightConfig`] when a run starts. Disarmed (the default)
-/// evaluates nothing.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct Watchdog {
-    armed: bool,
-    stall_slo: Option<SimDur>,
-    queue_limit: Option<u64>,
-    no_progress: Option<SimDur>,
-    trip_on_exhaustion: bool,
+/// The watchdog rules of one run. An attached watchdog always trips on
+/// recovery exhaustion; each rule below is off when `None`.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Watchdog {
+    /// Trip `job_stall` when an unfinished job makes no observable
+    /// progress for longer than this.
+    pub stall_slo: Option<SimDur>,
+    /// Trip `queue_depth` when the event queue holds more entries than
+    /// this.
+    pub queue_limit: Option<u64>,
+    /// Trip `no_progress` when *every* unfinished job has gone longer
+    /// than this without observable progress — the hang detector.
+    pub no_progress: Option<SimDur>,
 }
 
 impl Watchdog {
-    /// Snapshot the currently armed flight configuration (disarmed when
-    /// no recorder is armed).
-    pub fn from_flight() -> Watchdog {
-        match flight::config() {
-            Some(cfg) => Watchdog {
-                armed: true,
-                stall_slo: cfg.stall_slo_us.map(SimDur::from_us),
-                queue_limit: cfg.queue_limit,
-                no_progress: cfg.no_progress_us.map(SimDur::from_us),
-                trip_on_exhaustion: cfg.trip_on_exhaustion,
-            },
-            None => Watchdog::default(),
-        }
-    }
-
-    /// Whether a recorder was armed when this run started.
-    pub fn armed(&self) -> bool {
-        self.armed
-    }
-
-    /// Whether recovery-policy exhaustion should trip (and emit its
-    /// incident marker).
-    pub fn trips_on_exhaustion(&self) -> bool {
-        self.armed && self.trip_on_exhaustion
-    }
-
-    /// Whether the periodic sweep has anything to evaluate.
-    pub fn sweeps(&self) -> bool {
-        self.armed
-            && (self.stall_slo.is_some()
-                || self.queue_limit.is_some()
-                || self.no_progress.is_some())
-    }
-
     /// Largest sim-time gap the loop may leave between sweeps. The
     /// event-count cadence starves on a quiet queue — a wedged barrier
     /// re-issues once an *hour*, so thousands of events never accumulate
     /// — which is exactly when the time-based rules matter most. Half the
     /// tightest bound guarantees a stall is observed within 1.5× its
     /// bound of starting. `None` when no time-based rule is armed.
-    pub fn time_cadence(&self) -> Option<SimDur> {
+    pub(crate) fn time_cadence(&self) -> Option<SimDur> {
         let tightest = match (self.stall_slo, self.no_progress) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -109,16 +84,13 @@ impl Watchdog {
     /// the global no-progress bound, and event-queue depth. First match
     /// wins, jobs in index order — deterministic for a deterministic
     /// event stream.
-    pub fn sweep(
+    pub(crate) fn sweep(
         &self,
         now: SimTime,
         last: &[SimTime],
         done: &[Option<SimTime>],
         queue_len: usize,
     ) -> Option<Trip> {
-        if !self.armed {
-            return None;
-        }
         if let Some(slo) = self.stall_slo {
             for (j, at) in last.iter().enumerate() {
                 if done.get(j).is_some_and(|c| c.is_some()) {
@@ -168,11 +140,9 @@ impl Watchdog {
     }
 }
 
-/// Map a run-aborting error to the incident trigger the freeze records:
-/// invariant violations are rule trips (1 violation against a budget of
-/// 0), everything else freezes as a plain error trigger. A watchdog trip
-/// error re-freezes with its own rule — a no-op, since the ring froze at
-/// trip time and the first freeze wins.
+/// Map a run-aborting error to its incident trigger: invariant
+/// violations are rule trips (1 violation against a budget of 0), a
+/// watchdog trip keeps its rule, everything else is a plain error.
 pub(crate) fn trigger_for_error(e: &SimError) -> IncidentTrigger {
     match e {
         SimError::InvariantViolation { .. } => IncidentTrigger::Watchdog {
@@ -195,8 +165,8 @@ pub(crate) fn trigger_for_error(e: &SimError) -> IncidentTrigger {
     }
 }
 
-/// The simulated instant an error carries, µs (0 for pre-run
-/// configuration errors) — the freeze timestamp for error unwinds.
+/// The simulated instant an error carries, µs (0 for configuration
+/// errors) — the dump's freeze instant.
 pub(crate) fn error_at_us(e: &SimError) -> u64 {
     match e {
         SimError::InvalidConfig(_) | SimError::FaultPlan(_) | SimError::Schedule { .. } => 0,
@@ -208,11 +178,38 @@ pub(crate) fn error_at_us(e: &SimError) -> u64 {
     }
 }
 
+/// The incident dump of a run that [`crate::ClusterSim::run`] aborted
+/// with `err`. `ring` is the run's flight recorder, the
+/// [`RingBuffer`] the caller put in its observer fanout; `cfg` gives
+/// the run's identity (label, seed, config fingerprint, job names and
+/// the pid→job map). A watchdog trigger (a trip or an invariant
+/// violation) ends the window with its `WatchdogTrip` marker.
+pub fn incident_dump(ring: RingBuffer, cfg: &ClusterConfig, err: &SimError) -> IncidentDump {
+    // Pids are numbered job by job, rank by rank, as `ClusterSim::new`
+    // registers them.
+    let pid_job = cfg
+        .jobs
+        .iter()
+        .enumerate()
+        .flat_map(|(j, job)| std::iter::repeat_n(j as u32, job.workload.nprocs as usize))
+        .enumerate()
+        .map(|(pid, j)| (pid as u32, j))
+        .collect();
+    let meta = RunMeta {
+        scenario: cfg.label(),
+        seed: cfg.seed,
+        config_fp: config_fingerprint(cfg),
+        jobs: cfg.jobs.iter().map(|j| j.name.clone()).collect(),
+        pid_job,
+    };
+    IncidentDump::new(ring, trigger_for_error(err), error_at_us(err), meta)
+}
+
 /// FNV-1a-64 over the config's full debug rendering: a cheap, stable
 /// fingerprint binding an incident dump to the exact configuration that
 /// produced it (two dumps with different fingerprints are not
 /// comparable).
-pub(crate) fn config_fingerprint(cfg: &crate::config::ClusterConfig) -> u64 {
+fn config_fingerprint(cfg: &ClusterConfig) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in format!("{cfg:?}").bytes() {
         h ^= u64::from(b);
@@ -227,30 +224,25 @@ mod tests {
 
     fn armed(stall_slo_us: Option<u64>, queue_limit: Option<u64>) -> Watchdog {
         Watchdog {
-            armed: true,
             stall_slo: stall_slo_us.map(SimDur::from_us),
             queue_limit,
             no_progress: None,
-            trip_on_exhaustion: true,
         }
     }
 
     fn hang_armed(no_progress_us: u64) -> Watchdog {
         Watchdog {
-            armed: true,
-            stall_slo: None,
-            queue_limit: None,
             no_progress: Some(SimDur::from_us(no_progress_us)),
-            trip_on_exhaustion: true,
+            ..Watchdog::default()
         }
     }
 
+    /// A watchdog with no sweep rule (what `--flight-recorder` alone
+    /// attaches) trips only on recovery exhaustion, never in a sweep.
     #[test]
     fn disarmed_watchdog_never_trips() {
         let w = Watchdog::default();
-        assert!(!w.armed());
-        assert!(!w.sweeps());
-        assert!(!w.trips_on_exhaustion());
+        assert_eq!(w.time_cadence(), None);
         assert_eq!(
             w.sweep(
                 SimTime::from_us(1_000_000),
@@ -265,7 +257,6 @@ mod tests {
     #[test]
     fn stall_rule_ignores_finished_jobs_and_reads_stall_duration() {
         let w = armed(Some(500), None);
-        assert!(w.sweeps());
         let now = SimTime::from_us(1_000);
         // Job 0 finished long ago, job 1 progressed recently: no trip.
         let last = [SimTime::ZERO, SimTime::from_us(900)];
@@ -303,7 +294,6 @@ mod tests {
     #[test]
     fn no_progress_trips_only_when_every_unfinished_job_stalls() {
         let w = hang_armed(1_000);
-        assert!(w.sweeps());
         let now = SimTime::from_us(10_000);
         // One job still fresh: the run is slow, not hung.
         let last = [SimTime::ZERO, SimTime::from_us(9_500)];
@@ -382,5 +372,45 @@ mod tests {
             IncidentTrigger::Error { .. }
         ));
         assert_eq!(error_at_us(&plain), 0);
+    }
+
+    #[test]
+    fn incident_dump_numbers_pids_like_the_sim_and_marks_invariant_trips() {
+        use agp_workload::{Benchmark, Class, WorkloadSpec};
+        let mut cfg = ClusterConfig::paper_defaults(2);
+        cfg.jobs = vec![
+            crate::JobSpec::new("cg", WorkloadSpec::parallel(Benchmark::CG, Class::A, 2)),
+            crate::JobSpec::new("lu", WorkloadSpec::serial(Benchmark::LU, Class::A)),
+        ];
+        let mut ring = RingBuffer::new(8);
+        agp_obs::Observer::on_event(
+            &mut ring,
+            SimTime::from_us(5),
+            0,
+            &agp_obs::ObsEvent::BgTick { pid: 2, pages: 1 },
+        );
+        let err = SimError::InvariantViolation {
+            context: "periodic sweep".to_string(),
+            node: Some(0),
+            at_us: 777,
+            detail: "frame leak".to_string(),
+        };
+        let dump = incident_dump(ring, &cfg, &err);
+        assert_eq!(dump.meta.pid_job, vec![(0, 0), (1, 0), (2, 1)]);
+        assert_eq!(dump.meta.jobs, vec!["cg".to_string(), "lu".to_string()]);
+        assert_eq!(dump.meta.scenario, cfg.label());
+        assert_eq!(dump.at_us, 777);
+        assert_eq!(dump.events_seen, 2, "the event and the trip marker");
+        assert_eq!(
+            dump.events.last().map(|te| (te.at.as_us(), &te.event)),
+            Some((
+                777,
+                &agp_obs::ObsEvent::WatchdogTrip {
+                    rule: WatchdogRule::Invariant,
+                    value: 1,
+                    limit: 0,
+                }
+            ))
+        );
     }
 }

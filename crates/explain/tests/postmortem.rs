@@ -1,7 +1,7 @@
-//! End-to-end incident pipeline tests: the committed trip plan arms the
-//! flight recorder, exhausts I/O recovery, and the watchdog freeze
-//! yields a byte-deterministic dump whose `agp postmortem` report is
-//! pinned golden.
+//! End-to-end incident pipeline tests: the committed trip plan, run
+//! with a flight ring and a watchdog, exhausts I/O recovery, and the
+//! watchdog trip yields a byte-deterministic dump whose `agp postmortem`
+//! report is pinned golden.
 //!
 //! To re-bless after an intentional schema or triage change:
 //!
@@ -9,28 +9,17 @@
 //! AGP_BLESS=1 cargo test -p agp-explain --test postmortem
 //! ```
 
-use agp_cluster::ClusterConfig;
+use agp_cluster::{incident_dump, ClusterConfig, ClusterSim, Watchdog};
 use agp_experiments::chaos_demo;
 use agp_explain::{triage_class, PostmortemReport, TRIAGE_CLASSES};
 use agp_faults::FaultPlan;
-use agp_obs::flight::{self, FlightConfig, IncidentDump, IncidentTrigger};
-use agp_obs::{ObsEvent, WatchdogRule};
-use std::sync::Mutex;
+use agp_obs::flight::{IncidentDump, IncidentTrigger, RING_EVENTS};
+use agp_obs::{shared, ObsEvent, ObsLink, RingBuffer, WatchdogRule};
 
 const GOLDEN_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/goldens/postmortem.quick.json"
 );
-
-/// The flight recorder is process-global; serialize the tests that arm it.
-static HUB_LOCK: Mutex<()> = Mutex::new(());
-
-fn hub_lock() -> std::sync::MutexGuard<'static, ()> {
-    match HUB_LOCK.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
 
 /// The chaos-demo cluster under the committed recovery-exhaustion trip
 /// plan — exactly what `agp chaos --plan plans/trip.json
@@ -42,23 +31,27 @@ fn trip_cfg() -> ClusterConfig {
     cfg
 }
 
-/// Arm with the default config, run the trip scenario to its watchdog
-/// abort, and hand back the frozen dump.
+/// Run the trip scenario with its own flight ring and a rule-less
+/// watchdog (what `--flight-recorder` attaches) to its abort, and hand
+/// back the incident dump.
 fn capture_incident() -> IncidentDump {
-    flight::arm(FlightConfig::default());
-    let err = agp_cluster::run(trip_cfg()).expect_err("the trip plan must abort the run");
-    let dump = flight::take_incident().expect("the watchdog abort must freeze an incident");
-    flight::disarm();
+    let cfg = trip_cfg();
+    let ring = shared(RingBuffer::new(RING_EVENTS));
+    let link = ObsLink::to(ring.clone());
+    let mut sim = ClusterSim::new(cfg.clone()).expect("the trip config is valid");
+    sim.attach_observer(&link);
+    sim.attach_watchdog(Watchdog::default());
+    let err = sim.run().expect_err("the trip plan must abort the run");
     assert!(
         err.to_string().contains("recovery_exhausted"),
         "unexpected abort: {err}"
     );
-    dump
+    let ring = ring.lock().expect("ring not poisoned").clone();
+    incident_dump(ring, &cfg, &err)
 }
 
 #[test]
 fn trip_plan_freezes_a_watchdog_incident() {
-    let _g = hub_lock();
     let dump = capture_incident();
     match &dump.trigger {
         IncidentTrigger::Watchdog {
@@ -71,7 +64,7 @@ fn trip_plan_freezes_a_watchdog_incident() {
     }
     assert_eq!(dump.meta.seed, 0x5EED_600D);
     assert_eq!(dump.meta.jobs.len(), 2, "chaos demo runs two CG.A jobs");
-    // The freeze appends the trip marker as the final ring event.
+    // The dump appends the trip marker as the final ring event.
     assert!(matches!(
         dump.events.last().map(|te| &te.event),
         Some(ObsEvent::WatchdogTrip { .. })
@@ -84,7 +77,6 @@ fn trip_plan_freezes_a_watchdog_incident() {
 
 #[test]
 fn same_seed_incident_dumps_are_byte_identical() {
-    let _g = hub_lock();
     let a = capture_incident();
     let b = capture_incident();
     assert_eq!(
@@ -99,7 +91,6 @@ fn same_seed_incident_dumps_are_byte_identical() {
 
 #[test]
 fn postmortem_report_matches_the_committed_golden() {
-    let _g = hub_lock();
     let dump = capture_incident();
     let report = PostmortemReport::from_dump_str(&dump.to_json_string())
         .expect("postmortem builds from the dump");
@@ -118,7 +109,6 @@ fn postmortem_report_matches_the_committed_golden() {
 
 #[test]
 fn triage_counts_tile_the_retained_window() {
-    let _g = hub_lock();
     let dump = capture_incident();
     let report = PostmortemReport::build(&dump);
     assert_eq!(report.events_retained, dump.events.len() as u64);

@@ -246,9 +246,9 @@ impl FaultPlan {
     /// trip smoke, and the generator for the committed `plans/trip.json`.
     /// Node 0's disk fails **every** request over a long window while the
     /// retry budget is cut to 2, so the very first disk request burns
-    /// through its retries deterministically — with the flight recorder
-    /// armed, the recovery-exhaustion watchdog trips within the first
-    /// switch regardless of workload seed.
+    /// through its retries deterministically — with a watchdog attached
+    /// (`--flight-recorder`), the recovery-exhaustion rule trips within
+    /// the first switch regardless of workload seed.
     pub fn trip(seed: u64) -> FaultPlan {
         FaultPlan {
             schema_version: FAULT_PLAN_SCHEMA_VERSION,

@@ -360,9 +360,9 @@ pub enum ObsEvent {
         /// Release re-issues consumed before the forced release.
         attempts: u32,
     },
-    /// A deterministic watchdog rule tripped: the flight recorder froze
-    /// and an incident dump is being written. Always the last event in a
-    /// captured ring.
+    /// A deterministic watchdog rule tripped. The incident dump appends
+    /// it as the last event of the frozen ring; the simulation itself
+    /// never emits it.
     WatchdogTrip {
         /// Which rule tripped.
         rule: WatchdogRule,
@@ -410,130 +410,133 @@ impl ObsEvent {
     }
 
     /// One sample value per variant, in declaration order — support for
-    /// exhaustiveness tests (wire-name uniqueness here, triage coverage
-    /// in `agp-explain`). Adding a variant without extending this list
-    /// fails the `every_variant_names_itself` test.
+    /// exhaustiveness tests (wire-name uniqueness and the JSON round trip
+    /// here, triage coverage in `agp-explain`). Within each sample the
+    /// integer fields are distinct and non-zero and `Evict`'s two flags
+    /// differ, so an encoder or parser that swaps two fields fails the
+    /// round trip. Adding a variant without extending this list fails
+    /// the `every_variant_names_itself` test.
     pub fn samples() -> Vec<ObsEvent> {
         vec![
             ObsEvent::PageFault {
-                pid: 0,
-                page: 0,
-                major: false,
+                pid: 1,
+                page: 2,
+                major: true,
             },
             ObsEvent::MajorFault {
-                pid: 0,
-                page: 0,
-                readahead: 0,
-                write_pages: 0,
-                read_pages: 1,
+                pid: 1,
+                page: 2,
+                readahead: 3,
+                write_pages: 4,
+                read_pages: 5,
             },
-            ObsEvent::ReadaheadHit { pid: 0, page: 0 },
+            ObsEvent::ReadaheadHit { pid: 1, page: 2 },
             ObsEvent::EvictBatch {
-                pid: 0,
-                pages: 0,
-                write_pages: 0,
+                pid: 1,
+                pages: 2,
+                write_pages: 3,
             },
             ObsEvent::Evict {
-                pid: 0,
-                page: 0,
-                false_eviction: false,
+                pid: 1,
+                page: 2,
+                false_eviction: true,
                 recorded: false,
             },
             ObsEvent::Reclaim {
-                target: 0,
-                freed: 0,
-                write_pages: 0,
+                target: 1,
+                freed: 2,
+                write_pages: 3,
             },
-            ObsEvent::AggressiveOut { pid: 0, pages: 0 },
-            ObsEvent::ReplayPage { pid: 0, page: 0 },
+            ObsEvent::AggressiveOut { pid: 1, pages: 2 },
+            ObsEvent::ReplayPage { pid: 1, page: 2 },
             ObsEvent::Replay {
-                pid: 0,
-                pages: 0,
-                skipped: 0,
+                pid: 1,
+                pages: 2,
+                skipped: 3,
             },
-            ObsEvent::BgTick { pid: 0, pages: 0 },
+            ObsEvent::BgTick { pid: 1, pages: 2 },
             ObsEvent::DiskRequest {
-                write: false,
-                extents: 0,
-                pages: 0,
-                wait_us: 0,
-                seek_us: 0,
-                service_us: 0,
+                write: true,
+                extents: 1,
+                pages: 2,
+                wait_us: 3,
+                seek_us: 4,
+                service_us: 5,
             },
             ObsEvent::FaultService {
-                pid: 0,
-                page: 0,
-                wait_us: 0,
+                pid: 1,
+                page: 2,
+                wait_us: 3,
             },
             ObsEvent::BarrierWait {
                 ranks: 2,
-                skew_us: 0,
-                lag_us: 0,
+                skew_us: 3,
+                lag_us: 4,
             },
             ObsEvent::SwitchPhase {
-                switch: 0,
-                phase: SwitchPhaseKind::Stop,
-                dur_us: 0,
+                switch: 1,
+                phase: SwitchPhaseKind::PageOut,
+                dur_us: 2,
             },
             ObsEvent::SwitchDone {
-                switch: 0,
-                total_us: 0,
+                switch: 1,
+                total_us: 2,
             },
             ObsEvent::NodeGauge {
-                free_frames: 0,
-                dirty_pages: 0,
-                disk_backlog_us: 0,
-                disk_busy_us: 0,
-                bg_cleaned: 0,
+                free_frames: 1,
+                dirty_pages: 2,
+                disk_backlog_us: 3,
+                disk_busy_us: 4,
+                bg_cleaned: 5,
             },
             ObsEvent::ProcGauge {
-                pid: 0,
-                resident: 0,
-                dirty: 0,
+                pid: 1,
+                resident: 2,
+                dirty: 3,
             },
             ObsEvent::DiskError {
                 write: false,
-                pages: 0,
-                service_us: 0,
+                pages: 2,
+                service_us: 3,
             },
-            ObsEvent::DiskSlowdown { penalty_us: 0 },
+            ObsEvent::DiskSlowdown { penalty_us: 1 },
             ObsEvent::IoRetry {
-                node: 0,
-                attempt: 1,
-                backoff_us: 0,
+                node: 1,
+                attempt: 2,
+                backoff_us: 3,
             },
             ObsEvent::NodeCrash {
-                node: 0,
-                jobs_suspended: 0,
+                node: 1,
+                jobs_suspended: 2,
             },
             ObsEvent::NodeRestart {
-                node: 0,
-                jobs_requeued: 0,
+                node: 1,
+                jobs_requeued: 2,
             },
-            ObsEvent::JobRequeued { job: 0 },
+            ObsEvent::JobRequeued { job: 1 },
             ObsEvent::BarrierTimeout {
-                job: 0,
-                attempt: 1,
-                waited_us: 0,
+                job: 1,
+                attempt: 2,
+                waited_us: 3,
             },
             ObsEvent::MemPressure {
-                node: 0,
-                target: 0,
-                write_pages: 0,
+                node: 1,
+                target: 2,
+                write_pages: 3,
             },
-            ObsEvent::AiDegraded { node: 0, errors: 0 },
+            ObsEvent::AiDegraded { node: 1, errors: 2 },
             ObsEvent::IoExhausted {
-                node: 0,
-                attempts: 1,
+                node: 1,
+                attempts: 2,
             },
             ObsEvent::BarrierExhausted {
-                job: 0,
-                attempts: 1,
+                job: 1,
+                attempts: 2,
             },
             ObsEvent::WatchdogTrip {
-                rule: WatchdogRule::Invariant,
-                value: 0,
-                limit: 0,
+                rule: WatchdogRule::RecoveryExhausted,
+                value: 1,
+                limit: 2,
             },
         ]
     }

@@ -1,30 +1,17 @@
-//! The black-box flight recorder: a process-global, atomically gated
-//! last-N window of raw events (plus telemetry-sample and
-//! monitor-snapshot mirrors) that a watchdog trip or a typed error
-//! unwind freezes into a schema-versioned, byte-deterministic incident
-//! dump.
+//! The black-box incident dump: the last events of a run that aborted,
+//! frozen with the run's identity and the trigger that ended it, in a
+//! schema-versioned, byte-deterministic encoding that `agp postmortem`
+//! reloads.
 //!
-//! Full JSONL traces are infeasible for open-system streams; aggregates
-//! (collectors, windows, monitor snapshots) survive but cannot explain
-//! *why* an invariant tripped. The recorder keeps exactly the raw event
-//! window `agp postmortem` needs, with the same gate discipline as
-//! `agp-perf`: when nothing is armed, every hook is a single relaxed
-//! atomic load.
-//!
-//! ## Lifecycle
-//!
-//! 1. [`arm`] installs a fresh recorder (CLI `--flight-recorder`).
-//! 2. The simulation splices [`sink`] into its observer fanout and calls
-//!    [`note_run`] with the run's identity (scenario, seed, config
-//!    fingerprint, job table) — this also clears the window, so each run
-//!    records its own black box.
-//! 3. Events stream through [`record`]; telemetry samples and monitor
-//!    snapshots are mirrored via [`mirror_sample`] / [`mirror_snapshot`].
-//! 4. A watchdog trip or error unwind calls [`freeze`]. The first freeze
-//!    wins; a watchdog freeze appends the [`ObsEvent::WatchdogTrip`]
-//!    marker as the final ring event.
-//! 5. [`take_incident`] yields the [`IncidentDump`] (and re-opens the
-//!    recorder for the next run).
+//! Full JSONL traces are infeasible for long runs; aggregates
+//! (collectors, monitor snapshots) survive but cannot explain *why* an
+//! invariant tripped. The flight recorder is an ordinary [`RingBuffer`]
+//! of the last [`RING_EVENTS`] events, put in one run's
+//! [`crate::ObsLink`] fanout like any other sink, so each run records
+//! its own black box. When the run aborts, [`IncidentDump::new`] freezes
+//! the ring into a dump (`agp_cluster::incident_dump` supplies the run's
+//! identity and trigger); a watchdog trigger appends the
+//! [`ObsEvent::WatchdogTrip`] marker as the window's final event.
 //!
 //! ## Determinism
 //!
@@ -34,58 +21,16 @@
 //! same seed and config freeze byte-identical dumps.
 
 use crate::event::{ObsEvent, SwitchPhaseKind, WatchdogRule, SRC_CLUSTER};
-use crate::observer::{shared, Observer, SharedSink};
+use crate::observer::Observer;
 use crate::sink::{RingBuffer, TracedEvent};
 use agp_sim::SimTime;
-use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
 
 /// Incident-dump schema version (`"schema_version"` in the JSON).
 pub const DUMP_SCHEMA_VERSION: u32 = 1;
 
-/// Capacity and watchdog knobs for one armed recorder.
-///
-/// The watchdog thresholds live here (plain data, evaluated by
-/// `agp-cluster` in sim time) so arming is a single call and the whole
-/// incident configuration has one source of truth.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FlightConfig {
-    /// Raw events retained (ring capacity).
-    pub events: usize,
-    /// Telemetry sample lines retained.
-    pub samples: usize,
-    /// Monitor snapshot lines retained.
-    pub snapshots: usize,
-    /// Trip [`WatchdogRule::JobStall`] when an unfinished job makes no
-    /// observable progress for this many sim-µs (`None`: rule off).
-    pub stall_slo_us: Option<u64>,
-    /// Trip [`WatchdogRule::QueueDepth`] when the simulator event queue
-    /// exceeds this many entries (`None`: rule off).
-    pub queue_limit: Option<u64>,
-    /// Trip [`WatchdogRule::NoProgress`] when *every* unfinished job has
-    /// gone this many sim-µs without observable progress — the hang
-    /// detector (`None`: rule off).
-    pub no_progress_us: Option<u64>,
-    /// Trip [`WatchdogRule::RecoveryExhausted`] when a recovery policy
-    /// runs out of retries and forces an outcome.
-    pub trip_on_exhaustion: bool,
-}
-
-impl Default for FlightConfig {
-    fn default() -> Self {
-        FlightConfig {
-            events: 4096,
-            samples: 64,
-            snapshots: 16,
-            stall_slo_us: None,
-            queue_limit: None,
-            no_progress_us: None,
-            trip_on_exhaustion: true,
-        }
-    }
-}
+/// Capacity of a run's flight ring: the events an incident dump retains.
+pub const RING_EVENTS: usize = 4096;
 
 /// What froze the ring.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -109,8 +54,8 @@ pub enum IncidentTrigger {
     },
 }
 
-/// Identity of the run being recorded, captured before the event loop
-/// starts so a dump is attributable even when the run dies early.
+/// Identity of the recorded run, taken from its configuration so a dump
+/// is attributable even when the run dies early.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RunMeta {
     /// Run label derived from the config shape (`"{jobs}j/{nodes}n {policy} {mode}"`).
@@ -123,227 +68,6 @@ pub struct RunMeta {
     pub jobs: Vec<String>,
     /// `(pid, job index)` pairs mapping processes to jobs.
     pub pid_job: Vec<(u32, u32)>,
-}
-
-struct Recorder {
-    cfg: FlightConfig,
-    ring: RingBuffer,
-    samples: VecDeque<String>,
-    samples_seen: u64,
-    snapshots: VecDeque<String>,
-    snapshots_seen: u64,
-    meta: RunMeta,
-    frozen: Option<(IncidentTrigger, u64)>,
-}
-
-impl Recorder {
-    fn new(cfg: FlightConfig) -> Self {
-        Recorder {
-            ring: RingBuffer::new(cfg.events),
-            samples: VecDeque::with_capacity(cfg.samples.min(1024)),
-            samples_seen: 0,
-            snapshots: VecDeque::with_capacity(cfg.snapshots.min(1024)),
-            snapshots_seen: 0,
-            cfg,
-            meta: RunMeta::default(),
-            frozen: None,
-        }
-    }
-
-    fn reset_window(&mut self) {
-        self.ring = RingBuffer::new(self.cfg.events);
-        self.samples.clear();
-        self.samples_seen = 0;
-        self.snapshots.clear();
-        self.snapshots_seen = 0;
-        self.frozen = None;
-    }
-}
-
-static ARMED: AtomicBool = AtomicBool::new(false);
-
-fn hub() -> &'static Mutex<Option<Recorder>> {
-    static HUB: OnceLock<Mutex<Option<Recorder>>> = OnceLock::new();
-    HUB.get_or_init(|| Mutex::new(None))
-}
-
-fn with_recorder<R>(f: impl FnOnce(&mut Recorder) -> R) -> Option<R> {
-    let mut guard = match hub().lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    guard.as_mut().map(f)
-}
-
-/// Arm the recorder with `cfg`, replacing any previous recorder.
-pub fn arm(cfg: FlightConfig) {
-    let mut guard = match hub().lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    *guard = Some(Recorder::new(cfg));
-    ARMED.store(true, Ordering::Relaxed);
-}
-
-/// Disarm and discard the recorder (and any unfetched incident).
-pub fn disarm() {
-    ARMED.store(false, Ordering::Relaxed);
-    let mut guard = match hub().lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    *guard = None;
-}
-
-/// Whether a recorder is armed. A single relaxed load — the gate every
-/// hot-path hook checks first.
-#[inline]
-pub fn armed() -> bool {
-    ARMED.load(Ordering::Relaxed)
-}
-
-/// The armed recorder's configuration, if any.
-pub fn config() -> Option<FlightConfig> {
-    if !armed() {
-        return None;
-    }
-    with_recorder(|r| r.cfg.clone())
-}
-
-/// Start a fresh recording window for one run: store its identity and
-/// clear the previous window (a multi-experiment invocation keeps only
-/// the failing run's black box).
-pub fn note_run(meta: RunMeta) {
-    if !armed() {
-        return;
-    }
-    with_recorder(|r| {
-        r.reset_window();
-        r.meta = meta;
-    });
-}
-
-/// Record one event into the ring (no-op when disarmed or frozen).
-#[inline]
-pub fn record(at: SimTime, src: u32, ev: &ObsEvent) {
-    if !armed() {
-        return;
-    }
-    with_recorder(|r| {
-        if r.frozen.is_none() {
-            r.ring.on_event(at, src, ev);
-        }
-    });
-}
-
-/// Mirror one telemetry sample line (a complete JSON object) into the
-/// bounded sample window.
-pub fn mirror_sample(line: &str) {
-    if !armed() {
-        return;
-    }
-    with_recorder(|r| {
-        if r.frozen.is_some() || r.cfg.samples == 0 {
-            return;
-        }
-        r.samples_seen += 1;
-        if r.samples.len() == r.cfg.samples {
-            r.samples.pop_front();
-        }
-        r.samples.push_back(line.to_string());
-    });
-}
-
-/// Mirror one monitor snapshot line (a complete JSON object) into the
-/// bounded snapshot window.
-pub fn mirror_snapshot(line: &str) {
-    if !armed() {
-        return;
-    }
-    with_recorder(|r| {
-        if r.frozen.is_some() || r.cfg.snapshots == 0 {
-            return;
-        }
-        r.snapshots_seen += 1;
-        if r.snapshots.len() == r.cfg.snapshots {
-            r.snapshots.pop_front();
-        }
-        r.snapshots.push_back(line.to_string());
-    });
-}
-
-/// Freeze the ring. The first freeze wins (later calls are no-ops, so an
-/// error unwind after a watchdog trip cannot overwrite the trigger). A
-/// watchdog trigger appends the [`ObsEvent::WatchdogTrip`] marker as the
-/// ring's final event. Returns whether this call performed the freeze.
-pub fn freeze(trigger: IncidentTrigger, at: SimTime) -> bool {
-    if !armed() {
-        return false;
-    }
-    with_recorder(|r| {
-        if r.frozen.is_some() {
-            return false;
-        }
-        if let IncidentTrigger::Watchdog {
-            rule, value, limit, ..
-        } = &trigger
-        {
-            let marker = ObsEvent::WatchdogTrip {
-                rule: *rule,
-                value: *value,
-                limit: *limit,
-            };
-            r.ring.on_event(at, SRC_CLUSTER, &marker);
-        }
-        r.frozen = Some((trigger, at.as_us()));
-        true
-    })
-    .unwrap_or(false)
-}
-
-/// Take the frozen incident, re-opening the recorder for the next run.
-/// `None` when disarmed or when nothing has frozen the ring.
-pub fn take_incident() -> Option<IncidentDump> {
-    if !armed() {
-        return None;
-    }
-    with_recorder(|r| {
-        let (trigger, at_us) = r.frozen.clone()?;
-        let events_seen = r.ring.total_seen();
-        let events_dropped = r.ring.dropped();
-        let dump = IncidentDump {
-            schema_version: DUMP_SCHEMA_VERSION,
-            trigger,
-            at_us,
-            meta: r.meta.clone(),
-            events_seen,
-            events_dropped,
-            events: r.ring.drain(),
-            samples_dropped: r.samples_seen.saturating_sub(r.samples.len() as u64),
-            samples: r.samples.drain(..).collect(),
-            snapshots_dropped: r.snapshots_seen.saturating_sub(r.snapshots.len() as u64),
-            snapshots: r.snapshots.drain(..).collect(),
-        };
-        r.reset_window();
-        Some(dump)
-    })
-    .flatten()
-}
-
-/// An [`Observer`] forwarding every delivered event into the recorder —
-/// splice it into the simulation's fanout with [`crate::ObsLink::extended`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FlightSink;
-
-impl Observer for FlightSink {
-    fn on_event(&mut self, at: SimTime, src: u32, ev: &ObsEvent) {
-        record(at, src, ev);
-    }
-}
-
-/// A fresh shared [`FlightSink`] handle.
-pub fn sink() -> SharedSink {
-    shared(FlightSink)
 }
 
 /// A frozen recording window plus the identity needed to analyze it —
@@ -364,13 +88,14 @@ pub struct IncidentDump {
     pub events_dropped: u64,
     /// The retained window, oldest first.
     pub events: Vec<TracedEvent>,
-    /// Telemetry samples evicted by the capacity bound.
+    /// Telemetry samples evicted (0: the recorder keeps no samples; the
+    /// key stays in the schema).
     pub samples_dropped: u64,
-    /// Retained telemetry sample lines, oldest first.
+    /// Telemetry sample lines (empty in every recorded dump).
     pub samples: Vec<String>,
-    /// Monitor snapshots evicted by the capacity bound.
+    /// Monitor snapshots evicted (0: the recorder keeps no snapshots).
     pub snapshots_dropped: u64,
-    /// Retained monitor snapshot lines, oldest first.
+    /// Monitor snapshot lines (empty in every recorded dump).
     pub snapshots: Vec<String>,
 }
 
@@ -393,6 +118,42 @@ fn esc(s: &str, out: &mut String) {
 }
 
 impl IncidentDump {
+    /// Freeze `ring`, the flight recorder of a run that `trigger` ended
+    /// at `at_us`, into a dump. A watchdog trigger appends its
+    /// [`ObsEvent::WatchdogTrip`] marker as the window's final event, so
+    /// the window ends at the trip.
+    pub fn new(
+        mut ring: RingBuffer,
+        trigger: IncidentTrigger,
+        at_us: u64,
+        meta: RunMeta,
+    ) -> IncidentDump {
+        if let IncidentTrigger::Watchdog {
+            rule, value, limit, ..
+        } = &trigger
+        {
+            let marker = ObsEvent::WatchdogTrip {
+                rule: *rule,
+                value: *value,
+                limit: *limit,
+            };
+            ring.on_event(SimTime::from_us(at_us), SRC_CLUSTER, &marker);
+        }
+        IncidentDump {
+            schema_version: DUMP_SCHEMA_VERSION,
+            trigger,
+            at_us,
+            meta,
+            events_seen: ring.total_seen(),
+            events_dropped: ring.dropped(),
+            events: ring.drain(),
+            samples_dropped: 0,
+            samples: Vec::new(),
+            snapshots_dropped: 0,
+            snapshots: Vec::new(),
+        }
+    }
+
     /// Deterministic JSON encoding: fixed field order, one event object
     /// per line inside the `events` array (grep-able like a JSONL
     /// trace), trailing newline. Byte-identical for identical windows.
@@ -700,142 +461,52 @@ pub fn parse_event_line(line: &str) -> Result<TracedEvent, String> {
 mod tests {
     use super::*;
 
-    /// Global-hub tests share one lock so `cargo test`'s parallel runner
-    /// cannot interleave arm/disarm cycles.
-    fn hub_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        match LOCK.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
     fn ev(page: u32) -> ObsEvent {
         ObsEvent::ReadaheadHit { pid: 1, page }
     }
 
     #[test]
-    fn disarmed_hooks_are_no_ops() {
-        let _g = hub_lock();
-        disarm();
-        assert!(!armed());
-        record(SimTime::ZERO, 0, &ev(1));
-        mirror_sample("{\"x\":1}");
-        mirror_snapshot("{\"y\":2}");
-        assert!(!freeze(
-            IncidentTrigger::Error {
-                what: "nope".to_string()
-            },
-            SimTime::ZERO
-        ));
-        assert!(take_incident().is_none());
-    }
-
-    #[test]
     fn ring_wraps_and_freeze_appends_trip_marker() {
-        let _g = hub_lock();
-        arm(FlightConfig {
-            events: 4,
-            ..FlightConfig::default()
-        });
-        note_run(RunMeta {
+        let mut ring = RingBuffer::new(4);
+        for page in 0..10 {
+            ring.on_event(SimTime::from_us(page as u64), 0, &ev(page));
+        }
+        let meta = RunMeta {
             scenario: "t".to_string(),
             seed: 7,
             ..RunMeta::default()
-        });
-        for page in 0..10 {
-            record(SimTime::from_us(page as u64), 0, &ev(page));
-        }
-        assert!(freeze(
-            IncidentTrigger::Watchdog {
-                rule: WatchdogRule::QueueDepth,
-                value: 9,
-                limit: 4,
-                detail: String::new(),
-            },
-            SimTime::from_us(10)
-        ));
-        // Second freeze loses.
-        assert!(!freeze(
-            IncidentTrigger::Error {
-                what: "late".to_string()
-            },
-            SimTime::from_us(11)
-        ));
-        let dump = take_incident().expect("frozen incident");
+        };
+        let trigger = IncidentTrigger::Watchdog {
+            rule: WatchdogRule::QueueDepth,
+            value: 9,
+            limit: 4,
+            detail: String::new(),
+        };
+        let dump = IncidentDump::new(ring.clone(), trigger, 10, meta.clone());
         assert_eq!(dump.events_seen, 11, "10 events + trip marker");
         assert_eq!(dump.events_dropped, 7);
         assert_eq!(dump.events.len(), 4);
-        // Oldest-first, trip marker last.
+        // Oldest-first, trip marker last, stamped at the trip.
         assert_eq!(dump.events[0].event, ev(7));
+        let last = &dump.events[3];
         assert_eq!(
-            dump.events[3].event,
+            last.event,
             ObsEvent::WatchdogTrip {
                 rule: WatchdogRule::QueueDepth,
                 value: 9,
                 limit: 4,
             }
         );
+        assert_eq!((last.at, last.src), (SimTime::from_us(10), SRC_CLUSTER));
         assert_eq!(dump.at_us, 10);
         assert_eq!(dump.meta.seed, 7);
-        // Taking the incident re-opened the window.
-        assert!(take_incident().is_none());
-        record(SimTime::ZERO, 0, &ev(99));
-        assert!(freeze(
-            IncidentTrigger::Error {
-                what: "again".to_string()
-            },
-            SimTime::ZERO
-        ));
-        let second = take_incident().expect("second incident");
-        assert_eq!(second.events_seen, 1);
-        disarm();
-    }
-
-    #[test]
-    fn frozen_ring_ignores_further_events() {
-        let _g = hub_lock();
-        arm(FlightConfig::default());
-        record(SimTime::ZERO, 0, &ev(1));
-        freeze(
-            IncidentTrigger::Error {
-                what: "stop".to_string(),
-            },
-            SimTime::from_us(5),
-        );
-        record(SimTime::from_us(6), 0, &ev(2));
-        mirror_sample("{\"late\":1}");
-        let dump = take_incident().expect("incident");
-        assert_eq!(dump.events.len(), 1);
-        assert!(dump.samples.is_empty());
-        disarm();
-    }
-
-    #[test]
-    fn sample_and_snapshot_mirrors_are_bounded() {
-        let _g = hub_lock();
-        arm(FlightConfig {
-            samples: 2,
-            snapshots: 1,
-            ..FlightConfig::default()
-        });
-        for i in 0..5 {
-            mirror_sample(&format!("{{\"s\":{i}}}"));
-        }
-        mirror_snapshot("{\"m\":0}");
-        mirror_snapshot("{\"m\":1}");
-        freeze(
-            IncidentTrigger::Error {
-                what: "x".to_string(),
-            },
-            SimTime::ZERO,
-        );
-        let dump = take_incident().expect("incident");
-        assert_eq!(dump.samples, vec!["{\"s\":3}", "{\"s\":4}"]);
-        assert_eq!(dump.samples_dropped, 3);
-        assert_eq!(dump.snapshots, vec!["{\"m\":1}"]);
-        assert_eq!(dump.snapshots_dropped, 1);
-        disarm();
+        // An error trigger freezes the window as it is.
+        let error = IncidentTrigger::Error {
+            what: "boom".to_string(),
+        };
+        let plain = IncidentDump::new(ring, error, 9, meta);
+        assert_eq!((plain.events_seen, plain.events_dropped), (10, 6));
+        assert_eq!(plain.events.last().map(|te| &te.event), Some(&ev(9)));
     }
 
     #[test]
@@ -884,131 +555,9 @@ mod tests {
 
     #[test]
     fn every_event_line_round_trips() {
-        // Parse must invert the encoder for every variant; reuse the
-        // canonical one-of-each list shape from the event tests.
-        let evs = [
-            ObsEvent::PageFault {
-                pid: 1,
-                page: 2,
-                major: true,
-            },
-            ObsEvent::MajorFault {
-                pid: 1,
-                page: 2,
-                readahead: 3,
-                write_pages: 4,
-                read_pages: 5,
-            },
-            ObsEvent::ReadaheadHit { pid: 1, page: 2 },
-            ObsEvent::EvictBatch {
-                pid: 1,
-                pages: 2,
-                write_pages: 3,
-            },
-            ObsEvent::Evict {
-                pid: 1,
-                page: 2,
-                false_eviction: true,
-                recorded: false,
-            },
-            ObsEvent::Reclaim {
-                target: 1,
-                freed: 2,
-                write_pages: 3,
-            },
-            ObsEvent::AggressiveOut { pid: 1, pages: 2 },
-            ObsEvent::ReplayPage { pid: 1, page: 2 },
-            ObsEvent::Replay {
-                pid: 1,
-                pages: 2,
-                skipped: 3,
-            },
-            ObsEvent::BgTick { pid: 1, pages: 2 },
-            ObsEvent::DiskRequest {
-                write: true,
-                extents: 1,
-                pages: 2,
-                wait_us: 3,
-                seek_us: 4,
-                service_us: 5,
-            },
-            ObsEvent::FaultService {
-                pid: 1,
-                page: 2,
-                wait_us: 3,
-            },
-            ObsEvent::BarrierWait {
-                ranks: 2,
-                skew_us: 3,
-                lag_us: 4,
-            },
-            ObsEvent::SwitchPhase {
-                switch: 1,
-                phase: SwitchPhaseKind::PageOut,
-                dur_us: 2,
-            },
-            ObsEvent::SwitchDone {
-                switch: 1,
-                total_us: 2,
-            },
-            ObsEvent::NodeGauge {
-                free_frames: 1,
-                dirty_pages: 2,
-                disk_backlog_us: 3,
-                disk_busy_us: 4,
-                bg_cleaned: 5,
-            },
-            ObsEvent::ProcGauge {
-                pid: 1,
-                resident: 2,
-                dirty: 3,
-            },
-            ObsEvent::DiskError {
-                write: false,
-                pages: 2,
-                service_us: 3,
-            },
-            ObsEvent::DiskSlowdown { penalty_us: 1 },
-            ObsEvent::IoRetry {
-                node: 1,
-                attempt: 2,
-                backoff_us: 3,
-            },
-            ObsEvent::NodeCrash {
-                node: 1,
-                jobs_suspended: 2,
-            },
-            ObsEvent::NodeRestart {
-                node: 1,
-                jobs_requeued: 2,
-            },
-            ObsEvent::JobRequeued { job: 1 },
-            ObsEvent::BarrierTimeout {
-                job: 1,
-                attempt: 2,
-                waited_us: 3,
-            },
-            ObsEvent::MemPressure {
-                node: 1,
-                target: 2,
-                write_pages: 3,
-            },
-            ObsEvent::AiDegraded { node: 1, errors: 2 },
-            ObsEvent::IoExhausted {
-                node: 1,
-                attempts: 2,
-            },
-            ObsEvent::BarrierExhausted {
-                job: 1,
-                attempts: 2,
-            },
-            ObsEvent::WatchdogTrip {
-                rule: WatchdogRule::RecoveryExhausted,
-                value: 1,
-                limit: 2,
-            },
-        ];
-        for event in evs {
+        // Parse must invert the encoder for every variant; the samples'
+        // fields carry distinct non-zero values, so a swapped field fails.
+        for event in ObsEvent::samples() {
             let orig = TracedEvent {
                 at: SimTime::from_us(123),
                 src: 4,

@@ -23,15 +23,21 @@
 //!   four phases. Paging and disk counts are the run's own: read them
 //!   from its `RunResult`;
 //! * [`RingBuffer`] — a last-K sink with an exact drop count, behind
-//!   `agp sim --obs-budget` (truncation is never silent);
+//!   `agp sim --obs-budget` and the flight recorder (truncation is never
+//!   silent);
 //! * [`JsonlWriter`] — a line-per-event exporter whose output is
 //!   **byte-identical for identical seeds** (hand-rolled encoding with a
 //!   fixed field order; no float formatting), turning the simulator's
 //!   determinism guarantee into a diffable artifact. [`trace_diff`]
 //!   pinpoints the first divergent event between two such streams;
-//! * [`flight`] — the black-box flight recorder: a process-global,
-//!   atomically gated last-N window that watchdog trips or error unwinds
-//!   freeze into a byte-deterministic incident dump for `agp postmortem`.
+//! * [`flight`] — the black-box incident dump: a run's flight recorder
+//!   is a [`RingBuffer`] of its last [`flight::RING_EVENTS`] events in
+//!   its own fanout, and an aborted run freezes it into a
+//!   byte-deterministic dump for `agp postmortem`.
+//!
+//! The crate holds no process-global state: every sink, clock and ring
+//! belongs to the one link or run it was created for, so runs fanned out
+//! over worker threads cannot see each other's events.
 //!
 //! ## Source tags
 //!

@@ -3,8 +3,7 @@
 use crate::event::{ObsEvent, SRC_CLUSTER};
 use agp_sim::SimTime;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A sink for simulation events. Implementations must tolerate being
 /// called from any instrumented layer in event order; `at` is the
@@ -33,7 +32,15 @@ struct LinkInner {
     /// [`ObsLink::tick`]. Lets deep call sites without a `now` parameter
     /// (eviction, background-writer internals) emit correctly stamped
     /// events without threading timestamps through every mechanism API.
-    clock: AtomicU64,
+    clock: Mutex<SimTime>,
+}
+
+/// Lock `m`, recovering the data of a poisoned lock.
+fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    match m.lock() {
+        Ok(g) => g,
+        Err(poisoned) => poisoned.into_inner(),
+    }
 }
 
 /// The emission handle instrumented components hold.
@@ -68,26 +75,9 @@ impl ObsLink {
         ObsLink {
             inner: Some(Arc::new(LinkInner {
                 sinks,
-                clock: AtomicU64::new(0),
+                clock: Mutex::new(SimTime::ZERO),
             })),
             src: SRC_CLUSTER,
-        }
-    }
-
-    /// A new link delivering to this link's sinks plus `sink`, with a
-    /// fresh clock. Intended for pre-run composition — e.g. splicing the
-    /// flight recorder into the fanout before [`ObsLink::with_src`]
-    /// distributes clones to components — so an otherwise-disabled link
-    /// becomes enabled with exactly the extra sink.
-    pub fn extended(&self, sink: SharedSink) -> Self {
-        let mut sinks: Vec<SharedSink> = match &self.inner {
-            Some(inner) => inner.sinks.clone(),
-            None => Vec::new(),
-        };
-        sinks.push(sink);
-        ObsLink {
-            src: self.src,
-            ..ObsLink::fanout(sinks)
         }
     }
 
@@ -114,14 +104,14 @@ impl ObsLink {
     /// current simulation instant.
     pub fn tick(&self, now: SimTime) {
         if let Some(inner) = &self.inner {
-            inner.clock.store(now.as_us(), Ordering::Relaxed);
+            *lock(&inner.clock) = now;
         }
     }
 
     /// The shared clock's current value ([`SimTime::ZERO`] when disabled).
     pub fn clock(&self) -> SimTime {
         match &self.inner {
-            Some(inner) => SimTime::from_us(inner.clock.load(Ordering::Relaxed)),
+            Some(inner) => *lock(&inner.clock),
             None => SimTime::ZERO,
         }
     }
@@ -140,7 +130,7 @@ impl ObsLink {
     #[inline]
     pub fn emit_clock<F: FnOnce() -> ObsEvent>(&self, make: F) {
         if let Some(inner) = &self.inner {
-            let at = SimTime::from_us(inner.clock.load(Ordering::Relaxed));
+            let at = *lock(&inner.clock);
             deliver(inner, at, self.src, make());
         }
     }
@@ -149,11 +139,7 @@ impl ObsLink {
 fn deliver(inner: &LinkInner, at: SimTime, src: u32, ev: ObsEvent) {
     let _perf = agp_perf::scope(agp_perf::Span::ObsEmit);
     for sink in &inner.sinks {
-        let mut guard = match sink.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        guard.on_event(at, src, &ev);
+        lock(sink).on_event(at, src, &ev);
     }
 }
 
@@ -234,21 +220,5 @@ mod tests {
     #[test]
     fn empty_fanout_is_disabled() {
         assert!(!ObsLink::fanout(Vec::new()).enabled());
-    }
-
-    #[test]
-    fn extended_adds_a_sink_and_enables_disabled_links() {
-        let a = shared(Counting::default());
-        let b = shared(Counting::default());
-        let link = ObsLink::to(a.clone()).with_src(2).extended(b.clone());
-        assert_eq!(link.src(), 2, "extension keeps the source tag");
-        link.emit(SimTime::ZERO, || ObsEvent::BgTick { pid: 0, pages: 1 });
-        assert_eq!(a.lock().unwrap().seen.len(), 1);
-        assert_eq!(b.lock().unwrap().seen.len(), 1);
-
-        let solo = ObsLink::disabled().extended(b.clone());
-        assert!(solo.enabled());
-        solo.emit(SimTime::ZERO, || ObsEvent::BgTick { pid: 0, pages: 2 });
-        assert_eq!(b.lock().unwrap().seen.len(), 2);
     }
 }

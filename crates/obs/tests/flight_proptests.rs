@@ -1,26 +1,11 @@
 //! Property tests for the flight recorder: ring wraparound keeps exactly
 //! the newest window, event lines invert through `parse_event_line`, and
-//! identical recording sequences freeze byte-identical incident dumps.
-//!
-//! The recorder is process-global (one armed black box per process, like
-//! `agp-perf`), so every property that arms it holds `HUB_LOCK` — the
-//! cases themselves run serially inside each `#[test]`, but the test
-//! harness runs the `#[test]`s on concurrent threads.
+//! identical event sequences freeze byte-identical incident dumps.
 
-use agp_obs::flight::{self, FlightConfig, IncidentTrigger, RunMeta};
-use agp_obs::{ObsEvent, WatchdogRule};
+use agp_obs::flight::{self, IncidentDump, IncidentTrigger, RunMeta};
+use agp_obs::{ObsEvent, Observer, RingBuffer, WatchdogRule};
 use agp_sim::prop::{self, CASES};
 use agp_sim::{SimRng, SimTime};
-use std::sync::Mutex;
-
-static HUB_LOCK: Mutex<()> = Mutex::new(());
-
-fn hub_lock() -> std::sync::MutexGuard<'static, ()> {
-    match HUB_LOCK.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
 
 /// A slice of the event taxonomy with fully arbitrary field values,
 /// including the incident variants the watchdog layer added.
@@ -65,40 +50,27 @@ fn any_event(rng: &mut SimRng) -> ObsEvent {
     }
 }
 
-/// Wraparound law: after `n` recorded events and a watchdog freeze
-/// (which appends the trip marker), the dump retains exactly the
-/// newest `min(cap, n + 1)` events in order, and the seen/dropped
-/// accounting tiles the stream.
+/// Wraparound law: after `n` events and a watchdog freeze (which
+/// appends the trip marker), the dump retains exactly the newest
+/// `min(cap, n + 1)` events in order, and the seen/dropped accounting
+/// tiles the stream.
 #[test]
 fn ring_retains_exactly_the_newest_window() {
     prop::check("ring_retains_exactly_the_newest_window", CASES, |rng| {
         let cap = rng.range(1, 64) as usize;
         let evs = prop::vec(rng, 0..200, any_event);
         let (value, limit) = (rng.next_u64_raw(), rng.next_u64_raw());
-        let _g = hub_lock();
-        flight::arm(FlightConfig {
-            events: cap,
-            ..FlightConfig::default()
-        });
-        flight::note_run(RunMeta {
-            scenario: "prop".to_string(),
-            seed: 1,
-            ..RunMeta::default()
-        });
+        let mut ring = RingBuffer::new(cap);
         for (i, ev) in evs.iter().enumerate() {
-            flight::record(SimTime::from_us(i as u64), 0, ev);
+            ring.on_event(SimTime::from_us(i as u64), 0, ev);
         }
-        flight::freeze(
-            IncidentTrigger::Watchdog {
-                rule: WatchdogRule::QueueDepth,
-                value,
-                limit,
-                detail: String::new(),
-            },
-            SimTime::from_us(evs.len() as u64),
-        );
-        let dump = flight::take_incident().expect("watchdog freeze produced an incident");
-        flight::disarm();
+        let trigger = IncidentTrigger::Watchdog {
+            rule: WatchdogRule::QueueDepth,
+            value,
+            limit,
+            detail: String::new(),
+        };
+        let dump = IncidentDump::new(ring, trigger, evs.len() as u64, RunMeta::default());
 
         let n = evs.len() as u64 + 1; // + the appended trip marker
         assert_eq!(dump.events_seen, n);
@@ -132,9 +104,9 @@ fn event_lines_round_trip() {
     });
 }
 
-/// Determinism: replaying the identical record/mirror/freeze sequence
-/// through a fresh recorder freezes a byte-identical dump, and every
-/// retained event line reloads to the recorded `TracedEvent`.
+/// Determinism: the identical event sequence through a fresh ring
+/// freezes a byte-identical dump, and every retained event line reloads
+/// to the recorded `TracedEvent`.
 #[test]
 fn identical_sequences_freeze_byte_identical_dumps() {
     prop::check(
@@ -143,39 +115,22 @@ fn identical_sequences_freeze_byte_identical_dumps() {
         |rng| {
             let cap = rng.range(1, 32) as usize;
             let evs = prop::vec(rng, 0..120, any_event);
-            let _g = hub_lock();
             let run = || {
-                flight::arm(FlightConfig {
-                    events: cap,
-                    samples: 4,
-                    snapshots: 2,
-                    ..FlightConfig::default()
-                });
-                flight::note_run(RunMeta {
+                let mut ring = RingBuffer::new(cap);
+                for (i, ev) in evs.iter().enumerate() {
+                    ring.on_event(SimTime::from_us(i as u64), 1, ev);
+                }
+                let meta = RunMeta {
                     scenario: "prop".to_string(),
                     seed: 9,
                     config_fp: 0xfeed_f00d,
                     jobs: vec!["j0".to_string()],
                     pid_job: vec![(0, 0)],
-                });
-                for (i, ev) in evs.iter().enumerate() {
-                    flight::record(SimTime::from_us(i as u64), 1, ev);
-                    if i % 3 == 0 {
-                        flight::mirror_sample(&format!("{{\"s\":{i}}}"));
-                    }
-                    if i % 7 == 0 {
-                        flight::mirror_snapshot(&format!("{{\"m\":{i}}}"));
-                    }
-                }
-                flight::freeze(
-                    IncidentTrigger::Error {
-                        what: "boom".to_string(),
-                    },
-                    SimTime::from_us(evs.len() as u64),
-                );
-                let dump = flight::take_incident().expect("error freeze produced an incident");
-                flight::disarm();
-                dump
+                };
+                let trigger = IncidentTrigger::Error {
+                    what: "boom".to_string(),
+                };
+                IncidentDump::new(ring, trigger, evs.len() as u64, meta)
             };
             let a = run();
             let b = run();

@@ -4,16 +4,15 @@
 //! variant cannot go unhandled; this test adds the other half, that no
 //! variant is declared and handled but never produced.
 //!
-//! The runs below together emit all of them. One test function, because
-//! the flight recorder is process-global.
+//! The runs below together emit all of them.
 
 use std::collections::BTreeSet;
 
-use adaptive_gang_paging::cluster::{run_observed, ClusterConfig};
+use adaptive_gang_paging::cluster::{incident_dump, ClusterConfig, ClusterSim, Watchdog};
 use adaptive_gang_paging::experiments::chaos_demo;
 use adaptive_gang_paging::faults::FaultPlan;
-use adaptive_gang_paging::obs::flight::{self, FlightConfig};
-use adaptive_gang_paging::obs::{shared, ObsEvent, ObsLink, Observer};
+use adaptive_gang_paging::obs::flight::RING_EVENTS;
+use adaptive_gang_paging::obs::{shared, ObsEvent, ObsLink, Observer, RingBuffer, SharedSink};
 use adaptive_gang_paging::sim::{SimDur, SimTime};
 
 const SEED: u64 = 0x5EED_600D;
@@ -34,24 +33,31 @@ fn chaos(plan: &str) -> ClusterConfig {
     cfg
 }
 
-/// Names of the events `cfg` delivers to observers and, when `armed`, of
-/// those in the flight recorder's incident window (where the watchdog
-/// appends its trip marker).
-fn emitted(cfg: ClusterConfig, armed: bool) -> BTreeSet<&'static str> {
-    if armed {
-        flight::arm(FlightConfig::default());
-    }
+/// Names of the events `cfg` delivers to observers and, when `watched`
+/// (a flight ring and a watchdog attached), of those in the run's
+/// incident dump (where the watchdog appends its trip marker).
+fn emitted(cfg: ClusterConfig, watched: bool) -> BTreeSet<&'static str> {
     let names = shared(Names::default());
-    let link = ObsLink::to(names.clone());
-    // The armed runs abort on recovery exhaustion by design.
-    let outcome = run_observed(cfg, &link);
+    let ring = shared(RingBuffer::new(RING_EVENTS));
+    let mut sinks: Vec<SharedSink> = vec![names.clone()];
+    if watched {
+        sinks.push(ring.clone());
+    }
+    let link = ObsLink::fanout(sinks);
+    let mut sim = ClusterSim::new(cfg.clone()).expect("valid config");
+    sim.attach_observer(&link);
+    if watched {
+        sim.attach_watchdog(Watchdog::default());
+    }
+    // The watched runs abort on recovery exhaustion by design.
+    let outcome = sim.run();
     drop(link);
     let mut out = names.lock().expect("observer not poisoned").0.clone();
-    if armed {
-        let dump = flight::take_incident().expect("the armed run froze an incident");
+    if watched {
+        let err = outcome.expect_err("the watched run must abort");
+        let ring = ring.lock().expect("ring not poisoned").clone();
+        let dump = incident_dump(ring, &cfg, &err);
         out.extend(dump.events.iter().map(|t| t.event.name()));
-        flight::disarm();
-        assert!(outcome.is_err(), "the armed run must abort");
     } else {
         outcome.expect("the run completes");
     }
