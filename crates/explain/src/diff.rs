@@ -5,7 +5,7 @@
 use agp_metrics::{Json, Table};
 
 use crate::causes::Cause;
-use crate::report::{inum, meta_json, num, pretty, ExplainReport, EXPLAIN_SCHEMA_VERSION};
+use crate::report::{inum, meta_json, num, ExplainReport, EXPLAIN_SCHEMA_VERSION};
 
 /// `test − base` for one quantity.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -172,10 +172,7 @@ impl ExplainDiff {
 
     /// Pretty-printed JSON, byte-deterministic, trailing newline.
     pub fn to_json_string(&self) -> String {
-        let mut out = String::new();
-        pretty(&self.to_json(), 0, &mut out);
-        out.push('\n');
-        out
+        self.to_json().to_string_pretty() + "\n"
     }
 
     /// Human-facing diff tables.

@@ -2,8 +2,8 @@
 //!
 //! A frozen [`IncidentDump`] (see [`agp_obs::flight`]) is the black-box
 //! record of a run that tripped a watchdog or died on an error: the last
-//! window of raw [`ObsEvent`]s, recent telemetry samples, and monitor
-//! snapshots, plus the identity (scenario, seed, config fingerprint)
+//! window of raw [`ObsEvent`]s (its `samples` and `snapshots` lists are
+//! always empty), plus the identity (scenario, seed, config fingerprint)
 //! needed to reproduce the run. This module turns that record into an
 //! explanation:
 //!
@@ -35,7 +35,7 @@ use agp_obs::{ObsEvent, Observer, TracedEvent, WatchdogRule};
 
 use crate::analyze::{Analyzer, Diagnostic, JobStalls};
 use crate::causes::CauseBuckets;
-use crate::report::{causes_json, diag_json, job_json, num, pretty};
+use crate::report::{causes_json, diag_json, job_json, num};
 
 /// Schema version stamped into every postmortem document.
 pub const POSTMORTEM_SCHEMA_VERSION: u64 = 1;
@@ -236,7 +236,7 @@ pub struct PostmortemReport {
     pub window_last_us: u64,
     /// Telemetry sample lines retained.
     pub samples_retained: u64,
-    /// Monitor snapshot lines retained.
+    /// Snapshot lines retained (0 for every recorded dump).
     pub snapshots_retained: u64,
     /// Per-subsystem event counts over the retained window, in
     /// [`TRIAGE_CLASSES`] order (zero counts included; counts tile the
@@ -439,10 +439,7 @@ impl PostmortemReport {
     /// Pretty-printed JSON, byte-deterministic (golden-pinned), with a
     /// trailing newline.
     pub fn to_json_string(&self) -> String {
-        let mut out = String::new();
-        pretty(&self.to_json(), 0, &mut out);
-        out.push('\n');
-        out
+        self.to_json().to_string_pretty() + "\n"
     }
 
     /// One-line incident headline for the CLI, led by the

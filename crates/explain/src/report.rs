@@ -121,10 +121,7 @@ impl ExplainReport {
     /// Pretty-printed JSON, byte-deterministic (pinned by the golden
     /// test), with a trailing newline.
     pub fn to_json_string(&self) -> String {
-        let mut out = String::new();
-        pretty(&self.to_json(), 0, &mut out);
-        out.push('\n');
-        out
+        self.to_json().to_string_pretty() + "\n"
     }
 
     /// The human-facing tables `agp explain` prints.
@@ -291,48 +288,6 @@ pub(crate) fn diag_json(d: &Diagnostic) -> Json {
             Json::Arr(d.samples.iter().map(|s| Json::Str(s.clone())).collect()),
         ),
     ])
-}
-
-/// Render `j` with two-space indentation. Scalar leaves delegate to the
-/// compact writer, so numbers format identically in both modes.
-pub(crate) fn pretty(j: &Json, indent: usize, out: &mut String) {
-    match j {
-        Json::Arr(items) if !items.is_empty() => {
-            out.push_str("[\n");
-            for (i, item) in items.iter().enumerate() {
-                push_indent(out, indent + 1);
-                pretty(item, indent + 1, out);
-                if i + 1 < items.len() {
-                    out.push(',');
-                }
-                out.push('\n');
-            }
-            push_indent(out, indent);
-            out.push(']');
-        }
-        Json::Obj(fields) if !fields.is_empty() => {
-            out.push_str("{\n");
-            for (i, (k, v)) in fields.iter().enumerate() {
-                push_indent(out, indent + 1);
-                out.push_str(&Json::Str(k.clone()).to_string_compact());
-                out.push_str(": ");
-                pretty(v, indent + 1, out);
-                if i + 1 < fields.len() {
-                    out.push(',');
-                }
-                out.push('\n');
-            }
-            push_indent(out, indent);
-            out.push('}');
-        }
-        other => out.push_str(&other.to_string_compact()),
-    }
-}
-
-fn push_indent(out: &mut String, indent: usize) {
-    for _ in 0..indent {
-        out.push_str("  ");
-    }
 }
 
 #[cfg(test)]

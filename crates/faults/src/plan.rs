@@ -465,10 +465,7 @@ impl FaultPlan {
     /// Serialize the plan as pretty JSON with a trailing newline (the
     /// format committed under `plans/`). Byte-deterministic.
     pub fn to_json_string(&self) -> String {
-        let mut out = String::new();
-        pretty(&self.to_json(), 0, &mut out);
-        out.push('\n');
-        out
+        self.to_json().to_string_pretty() + "\n"
     }
 }
 
@@ -746,45 +743,6 @@ fn spec_from_json(doc: &Json, index: usize) -> Result<FaultSpec, PlanError> {
     };
     f.finish()?;
     Ok(spec)
-}
-
-/// Two-space-indented pretty printer (same style as the other committed
-/// JSON artifacts in this workspace).
-fn pretty(v: &Json, indent: usize, out: &mut String) {
-    let pad = "  ".repeat(indent + 1);
-    let close = "  ".repeat(indent);
-    match v {
-        Json::Arr(items) if !items.is_empty() => {
-            out.push_str("[\n");
-            for (i, item) in items.iter().enumerate() {
-                out.push_str(&pad);
-                pretty(item, indent + 1, out);
-                if i + 1 < items.len() {
-                    out.push(',');
-                }
-                out.push('\n');
-            }
-            out.push_str(&close);
-            out.push(']');
-        }
-        Json::Obj(pairs) if !pairs.is_empty() => {
-            out.push_str("{\n");
-            for (i, (k, val)) in pairs.iter().enumerate() {
-                out.push_str(&pad);
-                out.push('"');
-                out.push_str(k);
-                out.push_str("\": ");
-                pretty(val, indent + 1, out);
-                if i + 1 < pairs.len() {
-                    out.push(',');
-                }
-                out.push('\n');
-            }
-            out.push_str(&close);
-            out.push('}');
-        }
-        other => out.push_str(&other.to_string_compact()),
-    }
 }
 
 #[cfg(test)]

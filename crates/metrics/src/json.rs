@@ -107,6 +107,43 @@ impl Json {
         s
     }
 
+    /// Pretty rendering as a fresh string: two-space indentation, one
+    /// element or member per line, no trailing newline. Empty containers
+    /// and scalars render as in the compact writer, so numbers format
+    /// identically in both modes. The committed JSON artifacts (fault
+    /// plans, parity manifests, explain and postmortem reports) use it.
+    pub fn to_string_pretty(&self) -> String {
+        let mut s = String::new();
+        self.write_pretty(0, &mut s);
+        s
+    }
+
+    fn write_pretty(&self, indent: usize, out: &mut String) {
+        match self {
+            Json::Arr(items) if !items.is_empty() => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    new_line(out, i > 0, indent + 1);
+                    item.write_pretty(indent + 1, out);
+                }
+                new_line(out, false, indent);
+                out.push(']');
+            }
+            Json::Obj(pairs) if !pairs.is_empty() => {
+                out.push('{');
+                for (i, (k, v)) in pairs.iter().enumerate() {
+                    new_line(out, i > 0, indent + 1);
+                    write_escaped(k, out);
+                    out.push_str(": ");
+                    v.write_pretty(indent + 1, out);
+                }
+                new_line(out, false, indent);
+                out.push('}');
+            }
+            other => other.write(out),
+        }
+    }
+
     /// Parse a complete JSON document (trailing garbage is an error).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
@@ -135,6 +172,18 @@ pub fn format_f64(v: f64) -> String {
         format!("{}", v as i64)
     } else {
         format!("{v}")
+    }
+}
+
+/// End a pretty line, after a comma when another element follows, and
+/// indent the next one.
+fn new_line(out: &mut String, comma: bool, indent: usize) {
+    if comma {
+        out.push(',');
+    }
+    out.push('\n');
+    for _ in 0..indent {
+        out.push_str("  ");
     }
 }
 
@@ -436,6 +485,38 @@ mod tests {
         let src = "{\n  \"a\": [ 1 , 2 ],\n  \"b\": { }\n}\n";
         let v = Json::parse(src).unwrap();
         assert_eq!(v.to_string_compact(), r#"{"a":[1,2],"b":{}}"#);
+    }
+
+    #[test]
+    fn pretty_output_nests_and_keeps_empty_containers_inline() {
+        let v = Json::Obj(vec![
+            ("a".into(), Json::Num(1.0)),
+            (
+                "b".into(),
+                Json::Arr(vec![Json::Str("x".into()), Json::Arr(vec![]), Json::Null]),
+            ),
+            (
+                "c".into(),
+                Json::Obj(vec![("d\"".into(), Json::Bool(true))]),
+            ),
+            ("e".into(), Json::Obj(vec![])),
+        ]);
+        let want = r#"{
+  "a": 1,
+  "b": [
+    "x",
+    [],
+    null
+  ],
+  "c": {
+    "d\"": true
+  },
+  "e": {}
+}"#;
+        assert_eq!(v.to_string_pretty(), want);
+        assert_eq!(Json::parse(want).unwrap(), v);
+        assert_eq!(Json::Arr(vec![]).to_string_pretty(), "[]");
+        assert_eq!(Json::Num(2.5).to_string_pretty(), "2.5");
     }
 
     #[test]

@@ -63,28 +63,24 @@ impl ParityManifest {
     }
 
     /// Deterministic pretty JSON (2-space indent, sorted metric keys,
-    /// trailing newline).
+    /// trailing newline). The seed is a JSON number, exact below 2^53
+    /// (as `parse` needs it to be).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"schema_version\": {},\n", self.schema_version));
-        out.push_str(&format!("  \"scale\": \"{}\",\n", self.scale));
-        out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        out.push_str("  \"metrics\": {");
-        for (i, (k, v)) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            Json::Str(k.clone()).write(&mut out);
-            out.push_str(": ");
-            out.push_str(&format_f64(*v));
-        }
-        if !self.metrics.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("}\n}\n");
-        out
+        let metrics = self
+            .metrics
+            .iter()
+            .map(|(k, &v)| (k.clone(), Json::Num(v)))
+            .collect();
+        let doc = Json::Obj(vec![
+            (
+                "schema_version".into(),
+                Json::Num(self.schema_version.into()),
+            ),
+            ("scale".into(), Json::Str(self.scale.clone())),
+            ("seed".into(), Json::Num(self.seed as f64)),
+            ("metrics".into(), Json::Obj(metrics)),
+        ]);
+        doc.to_string_pretty() + "\n"
     }
 
     /// Parse a manifest written by [`ParityManifest::to_json`] (or any

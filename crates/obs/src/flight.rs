@@ -4,7 +4,7 @@
 //! reloads.
 //!
 //! Full JSONL traces are infeasible for long runs; aggregates
-//! (collectors, monitor snapshots) survive but cannot explain *why* an
+//! (collectors, the run's counts) survive but cannot explain *why* an
 //! invariant tripped. The flight recorder is an ordinary [`RingBuffer`]
 //! of the last [`RING_EVENTS`] events, put in one run's
 //! [`crate::ObsLink`] fanout like any other sink, so each run records
@@ -93,9 +93,10 @@ pub struct IncidentDump {
     pub samples_dropped: u64,
     /// Telemetry sample lines (empty in every recorded dump).
     pub samples: Vec<String>,
-    /// Monitor snapshots evicted (0: the recorder keeps no snapshots).
+    /// Snapshots evicted (0: nothing records snapshots; the key stays in
+    /// the schema).
     pub snapshots_dropped: u64,
-    /// Monitor snapshot lines (empty in every recorded dump).
+    /// Snapshot lines (empty in every recorded dump).
     pub snapshots: Vec<String>,
 }
 

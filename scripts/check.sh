@@ -61,12 +61,6 @@ cargo run --release -p agp-cli -- report --check --jobs 2 --out report.jobs2.jso
 diff report.json report.jobs2.json
 grep -q '"registry.jobs1"' BENCH_agp.json
 grep -q '"registry.jobs2"' BENCH_agp.json
-# Live-monitor smoke: a sharded, monitored run must stream
-# MetricsSnapshot JSONL (uploaded by CI as an artifact) while leaving
-# the rendered results untouched.
-cargo run --release -p agp-cli -- run moreira --scale quick --jobs 2 --progress \
-  --snapshot-out snapshot.jsonl > /dev/null
-test -s snapshot.jsonl
 # Self-profiler smoke: span table, JSON profile, flamegraph export.
 cargo run --release -p agp-cli -- perf fig6 \
   --json perf.json --collapsed perf.collapsed
