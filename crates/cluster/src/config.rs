@@ -168,6 +168,25 @@ impl ClusterConfig {
         if self.quantum == SimDur::ZERO {
             return Err("quantum must be positive".into());
         }
+        // The same holds for the other self-rescheduling timers: a zero
+        // sampling period or background-writer tick repeats at one
+        // instant, and a zero trace bucket cannot bin a paging trace.
+        if self.sample_every == Some(SimDur::ZERO) {
+            return Err("sample_every must be positive".into());
+        }
+        if self.bg_tick == SimDur::ZERO {
+            return Err("bg_tick must be positive".into());
+        }
+        if self.trace_bucket == SimDur::ZERO {
+            return Err("trace_bucket must be positive".into());
+        }
+        // A page table stores `block + 1` in 32 bits.
+        if self.disk.blocks > u64::from(u32::MAX) {
+            return Err(format!(
+                "disk.blocks must be below 2^32, got {}",
+                self.disk.blocks
+            ));
+        }
         for job in &self.jobs {
             if job.quantum == Some(SimDur::ZERO) {
                 return Err(format!("job '{}' quantum must be positive", job.name));
@@ -261,6 +280,24 @@ mod tests {
         let mut c = cfg();
         c.jobs[0].quantum = Some(SimDur::ZERO);
         assert!(c.validate().is_err(), "zero per-job quantum");
+
+        let mut c = cfg();
+        c.sample_every = Some(SimDur::ZERO);
+        assert!(c.validate().is_err(), "zero sampling period");
+
+        let mut c = cfg();
+        c.bg_tick = SimDur::ZERO;
+        assert!(c.validate().is_err(), "zero background-writer tick");
+
+        let mut c = cfg();
+        c.trace_bucket = SimDur::ZERO;
+        assert!(c.validate().is_err(), "zero trace bucket");
+
+        let mut c = cfg();
+        c.disk.blocks = 1 << 32;
+        assert!(c.validate().is_err(), "swap past 32-bit block slots");
+        c.disk.blocks = u64::from(u32::MAX);
+        c.validate().unwrap();
     }
 
     #[test]

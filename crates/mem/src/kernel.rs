@@ -92,34 +92,73 @@ impl ProcMem {
     }
 }
 
+/// Owner-map entries per chunk: 32 KiB of entries.
+const CHUNK: usize = 4096;
+
+/// A packed owner-map entry: the owning pid in the high 32 bits and the
+/// page in the low 32, or [`Owner::NONE`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Owner(u64);
+
+const _: () = assert!(std::mem::size_of::<Owner>() == 8);
+
+impl Owner {
+    /// An empty entry. It would read as page `u32::MAX` of pid
+    /// `u32::MAX`, which would take a table of 2^32 pages.
+    const NONE: Owner = Owner(u64::MAX);
+
+    fn new((pid, page): (ProcId, PageNum)) -> Self {
+        Owner(u64::from(pid.0) << 32 | u64::from(page.0))
+    }
+
+    fn get(self) -> Option<(ProcId, PageNum)> {
+        (self != Owner::NONE).then_some((ProcId((self.0 >> 32) as u32), PageNum(self.0 as u32)))
+    }
+}
+
 /// Reverse map from each swap block holding a valid, current page image
-/// to the page that owns it, indexed by block. It grows on insert to the
-/// highest block used, so a kernel that never pages out allocates
-/// nothing.
+/// to the page that owns it, indexed by block. The blocks are split into
+/// fixed chunks of [`CHUNK`] entries, and a chunk is allocated on the
+/// first insert that reaches it. A kernel that never pages out allocates
+/// nothing, and growing the map copies no entries: a table grown by
+/// reallocation copies itself at each doubling and leaves the old,
+/// already-touched buffer in the heap.
 #[derive(Clone, Debug, Default)]
 struct SwapOwners {
-    slots: Vec<Option<(ProcId, PageNum)>>,
+    /// Chunk `c` holds the entries of blocks `c * CHUNK..(c + 1) * CHUNK`.
+    chunks: Vec<Option<Box<[Owner; CHUNK]>>>,
     len: usize,
 }
 
 impl SwapOwners {
+    /// Chunk index and offset of `block`.
+    fn at(block: u64) -> (usize, usize) {
+        let b = block as usize;
+        (b / CHUNK, b % CHUNK)
+    }
+
     fn get(&self, block: u64) -> Option<(ProcId, PageNum)> {
-        self.slots.get(block as usize).copied().flatten()
+        let (c, i) = Self::at(block);
+        self.chunks.get(c)?.as_ref()?[i].get()
     }
 
     fn insert(&mut self, block: u64, owner: (ProcId, PageNum)) {
-        let i = block as usize;
-        if i >= self.slots.len() {
-            self.slots.resize(i + 1, None);
+        let (c, i) = Self::at(block);
+        if c >= self.chunks.len() {
+            self.chunks.resize_with(c + 1, || None);
         }
-        if self.slots[i].replace(owner).is_none() {
+        let chunk = self.chunks[c].get_or_insert_with(|| Box::new([Owner::NONE; CHUNK]));
+        let entry = Owner::new(owner);
+        debug_assert_ne!(entry, Owner::NONE, "owner packs to the empty entry");
+        if std::mem::replace(&mut chunk[i], entry) == Owner::NONE {
             self.len += 1;
         }
     }
 
     fn remove(&mut self, block: u64) {
-        if let Some(slot) = self.slots.get_mut(block as usize) {
-            if slot.take().is_some() {
+        let (c, i) = Self::at(block);
+        if let Some(Some(chunk)) = self.chunks.get_mut(c) {
+            if std::mem::replace(&mut chunk[i], Owner::NONE) != Owner::NONE {
                 self.len -= 1;
             }
         }
@@ -127,8 +166,10 @@ impl SwapOwners {
 
     fn iter(&self) -> impl Iterator<Item = (u64, (ProcId, PageNum))> + '_ {
         (0u64..)
-            .zip(&self.slots)
-            .filter_map(|(b, o)| o.map(|o| (b, o)))
+            .step_by(CHUNK)
+            .zip(&self.chunks)
+            .filter_map(|(base, chunk)| Some((base, chunk.as_deref()?)))
+            .flat_map(|(base, chunk)| (base..).zip(chunk).filter_map(|(b, o)| Some((b, o.get()?))))
     }
 }
 
@@ -152,7 +193,8 @@ pub struct Kernel {
 
 impl Kernel {
     /// A kernel managing `params.usable_frames()` frames and a swap device
-    /// of `swap_blocks` blocks.
+    /// of `swap_blocks` blocks, which must be fewer than 2^32: a page
+    /// table holds each block in 32 bits.
     pub fn new(params: VmParams, swap_blocks: u64) -> Self {
         let free = params.usable_frames();
         Kernel {
@@ -1108,21 +1150,19 @@ mod tests {
     fn owner_map_grows_only_on_page_out() {
         let params = VmParams::for_frames(4096, 0);
         let mut k = Kernel::new(params, 512 * 1024);
-        assert_eq!(
-            k.swap_owner.slots.capacity(),
-            0,
-            "nothing allocated up front"
-        );
+        assert!(k.swap_owner.chunks.is_empty(), "nothing allocated up front");
         k.register_proc(ProcId(1), 8);
         for p in 0..8 {
             k.map_in(ProcId(1), PageNum(p), T).unwrap();
             k.touch(ProcId(1), PageNum(p), true, T).unwrap();
         }
-        assert_eq!(k.swap_owner.slots.capacity(), 0);
+        assert!(k.swap_owner.chunks.is_empty());
         let EvictOutcome::Write { block } = k.evict(ProcId(1), PageNum(3)).unwrap() else {
             panic!("dirty page must be written");
         };
-        assert_eq!(k.swap_owner.slots.len(), block as usize + 1);
+        assert!(block < CHUNK as u64);
+        assert_eq!(k.swap_owner.chunks.len(), 1, "one chunk after the page-out");
+        assert!(k.swap_owner.chunks[0].is_some());
         assert_eq!(k.swap_owner.len, 1);
         k.check_invariants().unwrap();
     }
@@ -1141,10 +1181,12 @@ mod tests {
         let b0 = ext[0].start;
         let last = b0 + 2;
         assert_eq!(
-            k.swap_owner.slots.len() as u64,
-            last + 1,
-            "table ends at the last block"
+            k.swap_owner.chunks.len(),
+            1,
+            "the table ends at the first chunk"
         );
+        assert_eq!(k.swap_owner.get(last + 1), None, "end of the used blocks");
+        assert_eq!(k.swap_owner.get(CHUNK as u64), None, "past the last chunk");
         let readahead = |k: &mut Kernel, pid, block, limit| {
             let mut seen = Vec::new();
             k.map_in_readahead(pid, block, limit, T, |p| seen.push(p))
@@ -1160,6 +1202,10 @@ mod tests {
             "limit"
         );
         assert_eq!(readahead(&mut k, pid, last, 16), Ok((0, vec![])));
+        assert_eq!(
+            readahead(&mut k, pid, CHUNK as u64 - 1, 16),
+            Ok((0, vec![]))
+        );
         assert_eq!(readahead(&mut k, pid, 100_000, 16), Ok((0, vec![])));
         // With one frame free, read-ahead stops after one page.
         let mut full = k.clone();
@@ -1183,6 +1229,45 @@ mod tests {
             readahead(&mut k, pid, b0, 16),
             Err(MemError::NoSuchProc(pid))
         );
+        k.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn batch_eviction_straddles_an_owner_chunk_edge() {
+        let pid = ProcId(1);
+        let n = CHUNK as u32 + 4;
+        let mut k = Kernel::new(VmParams::for_frames(2 * CHUNK, 0), 2 * CHUNK as u64);
+        k.register_proc(pid, n as usize);
+        let pages: Vec<PageNum> = (0..n).map(PageNum).collect();
+        for &p in &pages {
+            k.map_in(pid, p, T).unwrap();
+            k.touch(pid, p, true, T).unwrap();
+        }
+        // One batch from fresh swap: page i lands at block i, so blocks
+        // 4095 and 4096 sit on either side of the first chunk edge.
+        let ext = k.evict_batch(pid, &pages, &mut Vec::new()).unwrap();
+        assert_eq!(ext, vec![Extent::new(0, u64::from(n))]);
+        assert_eq!(k.swap_owner.chunks.len(), 2);
+        let edge = CHUNK as u64;
+        assert_eq!(
+            k.swap_owner.get(edge - 1),
+            Some((pid, PageNum(CHUNK as u32 - 1)))
+        );
+        assert_eq!(k.swap_owner.get(edge), Some((pid, PageNum(CHUNK as u32))));
+        // Read-ahead chases across the edge and stops at the last block.
+        let mut seen = Vec::new();
+        let got = k.map_in_readahead(pid, edge - 3, 16, T, |p| seen.push(p));
+        assert_eq!(got, Ok(6));
+        assert_eq!(seen, (CHUNK as u32 - 2..n).map(PageNum).collect::<Vec<_>>());
+        k.check_invariants().unwrap();
+        // Past the last chunk, `get` finds nothing and `remove` does
+        // nothing.
+        let past = 2 * edge + 7;
+        assert_eq!(k.swap_owner.get(past), None);
+        let len = k.swap_owner.len;
+        k.swap_owner.remove(past);
+        assert_eq!(k.swap_owner.len, len);
+        assert_eq!(k.swap_owner.chunks.len(), 2);
         k.check_invariants().unwrap();
     }
 

@@ -1,10 +1,11 @@
 //! Per-process page tables: page state, reference/dirty bits, age, and a
 //! per-process clock hand for Linux-2.2-style sweeps.
 //!
-//! The table is a structure of arrays: one swap-block slot and one age
-//! per page, plus `u64`-word bitsets for the resident, referenced, dirty
-//! and touched-this-epoch bits (about 16.5 bytes per page). Touch runs,
-//! clock sweeps and dirty sweeps work a word (64 pages) at a time.
+//! The table is a structure of arrays: a 4-byte swap-block slot and an
+//! 8-byte age per page, plus `u64`-word bitsets for the resident,
+//! referenced, dirty and touched-this-epoch bits (about 12.5 bytes per
+//! page). Touch runs, clock sweeps and dirty sweeps work a word (64
+//! pages) at a time.
 //! [`PageTable::state`] decodes one page into a [`PageState`] for code
 //! that wants the whole picture.
 
@@ -52,8 +53,31 @@ impl PageState {
     }
 }
 
-/// `block` entry of a page with no swap image.
-const NO_BLOCK: u64 = u64::MAX;
+/// A page's swap-block slot: `block + 1`, or [`NO_BLOCK`] for a page
+/// with no swap image. Every block of a swap device of fewer than 2^32
+/// blocks fits.
+type BlockSlot = u32;
+
+/// Slot of a page with no swap image. It is zero, so a fresh table's
+/// slots come from zeroed memory and a page that never gets a block
+/// costs no resident memory.
+const NO_BLOCK: BlockSlot = 0;
+
+const _: () = assert!(std::mem::size_of::<BlockSlot>() == 4);
+
+/// Blocks a slot can address: `0..MAX_BLOCKS`.
+const MAX_BLOCKS: u64 = BlockSlot::MAX as u64;
+
+/// The slot holding `block`.
+fn slot(block: u64) -> BlockSlot {
+    debug_assert!(block < MAX_BLOCKS, "block {block} has no slot");
+    (block + 1) as BlockSlot
+}
+
+/// The block held in `slot`, if any.
+fn slot_block(slot: BlockSlot) -> Option<u64> {
+    slot.checked_sub(1).map(u64::from)
+}
 
 /// Mask of bits `lo..hi` of one word (`lo <= hi <= 64`).
 fn mask(lo: usize, hi: usize) -> u64 {
@@ -101,9 +125,9 @@ fn take_bits(cand: u64, hi: usize, want: usize) -> (u64, usize) {
 /// One process's page table plus bookkeeping counters.
 #[derive(Clone, Debug)]
 pub struct PageTable {
-    /// Swap image of a swapped page, or the clean copy of a resident
-    /// page; [`NO_BLOCK`] when there is none.
-    block: Vec<u64>,
+    /// Slot of the swap image of a swapped page, or of the clean copy of
+    /// a resident page; [`NO_BLOCK`] when there is none.
+    block: Vec<BlockSlot>,
     /// Instant of the most recent touch (meaningful while resident).
     last_ref: Vec<SimTime>,
     /// Residency bitset. The referenced and dirty bitsets are subsets of
@@ -182,7 +206,7 @@ impl PageTable {
     /// Swap block of page `p`: its image if swapped, its clean copy if
     /// resident.
     pub(crate) fn block(&self, p: PageNum) -> Option<u64> {
-        Some(self.block[p.idx()]).filter(|&b| b != NO_BLOCK)
+        slot_block(self.block[p.idx()])
     }
 
     /// State of page `p`, decoded from the arrays.
@@ -282,8 +306,8 @@ impl PageTable {
                 self.dirty_resident += newly.count_ones() as usize;
                 for i in pages_of(w, newly) {
                     let copy = std::mem::replace(&mut self.block[i], NO_BLOCK);
-                    if copy != NO_BLOCK {
-                        stale(copy);
+                    if let Some(block) = slot_block(copy) {
+                        stale(block);
                     }
                 }
             }
@@ -318,7 +342,7 @@ impl PageTable {
         debug_assert!(self.is_resident(p), "evict of a non-resident page");
         debug_assert_eq!(self.is_dirty(p), write_to.is_some(), "write iff dirty");
         if let Some(block) = write_to {
-            self.block[p.idx()] = block;
+            self.block[p.idx()] = slot(block);
             self.dirty[w] &= !b;
             self.dirty_resident -= 1;
         }
@@ -333,7 +357,7 @@ impl PageTable {
         debug_assert!(self.is_dirty(p), "clean of a page that is not dirty");
         self.dirty[p.idx() / 64] &= !(1u64 << (p.idx() % 64));
         self.dirty_resident -= 1;
-        self.block[p.idx()] = block;
+        self.block[p.idx()] = slot(block);
     }
 
     /// Clock sweep from the stored hand position: visit up to `max_scan`
@@ -427,6 +451,21 @@ mod tests {
         pt.evict(PageNum(0), None);
         assert_eq!(pt.state(PageNum(0)), PageState::Untouched);
         assert_eq!(pt.resident(), 0);
+    }
+
+    #[test]
+    fn block_slots_hold_block_zero_and_the_highest_block() {
+        let mut pt = PageTable::new(2);
+        mapped(&mut pt, [0, 1], 1, true);
+        pt.evict(PageNum(0), Some(0));
+        pt.evict(PageNum(1), Some(MAX_BLOCKS - 1));
+        assert_eq!(pt.state(PageNum(0)), PageState::Swapped { block: 0 });
+        assert_eq!(
+            pt.state(PageNum(1)),
+            PageState::Swapped {
+                block: MAX_BLOCKS - 1
+            }
+        );
     }
 
     #[test]

@@ -6,11 +6,16 @@ cd "$(dirname "$0")/.."
 
 # Benchmark digest gate, the quickest byte-identity check, so it runs
 # first: one pass of every workload must reproduce its golden digest
-# ("correct":true).
+# ("correct":true). Each workload's result line goes to the log, so every
+# run shows its peak_rss_mib and setup_s.
 cargo test --offline --manifest-path simbench/Cargo.toml
 for w in quick_figs paper_scale global_lru resident; do
-  bash simbench/run.sh --workload "$w" --seconds 1 --trace 0 \
-    | tail -n 1 | grep -F '"correct":true' > /dev/null
+  line="$(bash simbench/run.sh --workload "$w" --seconds 1 --trace 0 | tail -n 1)"
+  echo "$line"
+  if ! grep -qF '"correct":true' <<< "$line"; then
+    echo "check.sh: simbench workload $w does not reproduce its digest" >&2
+    exit 1
+  fi
 done
 
 cargo build --release
