@@ -34,7 +34,7 @@ use agp_faults::FaultPlan;
 use agp_metrics::report::{bar_chart, sparkline};
 use agp_metrics::{BenchManifest, ParityManifest, Table};
 use agp_obs::flight::RING_EVENTS;
-use agp_obs::{shared, Collector, JsonlWriter, ObsLink, RingBuffer, SharedSink};
+use agp_obs::{shared, unwrap_shared, Collector, JsonlWriter, ObsLink, RingBuffer, SharedSink};
 use agp_sim::SimDur;
 use agp_telemetry::PerfettoTrace;
 use agp_workload::{Benchmark, Class, WorkloadSpec};
@@ -301,7 +301,7 @@ impl FlightArgs {
         ring: Arc<Mutex<RingBuffer>>,
         cfg: &ClusterConfig,
     ) -> String {
-        let dump = match unwrap_sink(ring) {
+        let dump = match unwrap_shared(ring) {
             Ok(ring) => incident_dump(ring, cfg, err),
             Err(e) => return format!("{err} ({e})"),
         };
@@ -569,13 +569,13 @@ fn cmd_sim(args: &[String]) -> Result<(), String> {
     flight_args.on_success();
     if let Some(sink) = writer {
         let path = events.as_deref().unwrap_or("");
-        let w = unwrap_sink(sink)?;
+        let w = unwrap_shared(sink)?;
         let lines = w.lines();
         w.finish().map_err(|e| format!("--events {path}: {e}"))?;
         eprintln!("wrote {lines} events to {path}");
     }
     if let Some(sink) = budget {
-        let b = unwrap_sink(sink)?;
+        let b = unwrap_shared(sink)?;
         // Truncation is never silent: the retention summary prints even
         // when nothing was dropped.
         eprintln!(
@@ -642,7 +642,7 @@ fn cmd_sim(args: &[String]) -> Result<(), String> {
         println!("node0 page-out : {}", sparkline(tr.outs()));
     }
     if let Some(sink) = collector {
-        let c = unwrap_sink(sink)?;
+        let c = unwrap_shared(sink)?;
         print_fault_summary(&c.counters, &r);
     }
     Ok(())
@@ -799,9 +799,9 @@ fn cmd_chaos(args: &[String]) -> Result<ExitCode, String> {
             sinks.push(m.clone() as SharedSink);
         }
         let r = flight_args.run(&cfg, sinks)?;
-        let counters = unwrap_sink(collector)?.counters;
+        let counters = unwrap_shared(collector)?.counters;
         let bytes = match mem {
-            Some(m) => unwrap_sink(m)?
+            Some(m) => unwrap_shared(m)?
                 .finish()
                 .map_err(|e| format!("event capture: {e}"))?,
             None => Vec::new(),
@@ -944,11 +944,11 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     let perf = agp_perf::take_report();
     drop(link);
     eprintln!("simulated in {:.1?} ({} events)", t0.elapsed(), r.events);
-    let mut trace = unwrap_sink(sink)?;
+    let mut trace = unwrap_shared(sink)?;
     trace.host_perf_track(&perf, r.makespan.as_us());
     // Overlay the per-switch critical path as its own track: one span
     // per attributed cause segment, tiling each switch exactly.
-    let analysis = unwrap_sink(analyzer)?;
+    let analysis = unwrap_shared(analyzer)?;
     let mut highlighted = 0usize;
     for sw in analysis.switches() {
         let mut ts = sw.at_us;
@@ -1498,16 +1498,6 @@ fn cmd_trace_diff(args: &[String]) -> Result<ExitCode, String> {
     }
 }
 
-/// Recover a sink from its `Arc` once the simulation has dropped every
-/// observer link (guaranteed after `run_observed` returns).
-fn unwrap_sink<T>(sink: Arc<Mutex<T>>) -> Result<T, String> {
-    let mutex = Arc::try_unwrap(sink)
-        .map_err(|_| "observer sink still shared after the run".to_string())?;
-    Ok(mutex
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner))
-}
-
 fn cmd_profile(args: &[String]) -> Result<(), String> {
     let mut id: Option<String> = None;
     let mut scale = Scale::Quick;
@@ -1553,14 +1543,14 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     drop(link);
     eprintln!("simulated in {:.1?} ({} events)", t0.elapsed(), r.events);
     if let (Some(path), Some(sink)) = (&events, jsonl) {
-        let writer = unwrap_sink(sink)?;
+        let writer = unwrap_shared(sink)?;
         let lines = writer.lines();
         writer
             .finish()
             .map_err(|e| format!("--events {path}: {e}"))?;
         eprintln!("wrote {lines} events to {path}");
     }
-    let c = unwrap_sink(collector)?;
+    let c = unwrap_shared(collector)?;
 
     println!(
         "policy {}  mode {:?}  makespan {:.1} min  switches {}",

@@ -2,11 +2,10 @@
 //!
 //! [`classify`] runs one configuration **twice**, each run watched by
 //! [`FUZZ_WATCHDOG`] and recorded by its own flight ring, and maps the
-//! outcome pair onto the closed [`Verdict`](agp_faults::fuzz::Verdict)
-//! taxonomy. Two runs because nondeterminism is itself a verdict: the
-//! traces, errors, and incident dumps of both runs must agree byte for
-//! byte, or the finding is `Nondeterministic` regardless of how either
-//! run ended.
+//! outcome pair onto the closed [`Verdict`] taxonomy. Two runs because
+//! nondeterminism is itself a verdict: the traces, errors, and incident
+//! dumps of both runs must agree byte for byte, or the finding is
+//! `Nondeterministic` regardless of how either run ended.
 //!
 //! The rules and the ring are per run, so `classify` may run on any
 //! thread alongside other simulations: neither sees the other's.
@@ -19,7 +18,8 @@ use crate::watchdog::{incident_dump, Watchdog};
 use agp_faults::fuzz::Verdict;
 use agp_obs::flight::{IncidentDump, RING_EVENTS};
 use agp_obs::{
-    shared, Collector, JsonlWriter, ObsCounters, ObsLink, RingBuffer, SharedSink, WatchdogRule,
+    shared, unwrap_shared, Collector, JsonlWriter, ObsCounters, ObsLink, RingBuffer, SharedSink,
+    WatchdogRule,
 };
 use agp_sim::SimDur;
 
@@ -133,14 +133,6 @@ fn one_run(cfg: &ClusterConfig) -> Result<RunCapture, String> {
         trace,
         incident,
     })
-}
-
-fn unwrap_shared<T>(sink: std::sync::Arc<std::sync::Mutex<T>>) -> Result<T, String> {
-    let mutex = std::sync::Arc::try_unwrap(sink)
-        .map_err(|_| "observer sink still shared after the run".to_string())?;
-    Ok(mutex
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner))
 }
 
 /// Classify `cfg` under [`FUZZ_WATCHDOG`]: run twice, demand

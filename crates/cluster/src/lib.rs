@@ -42,7 +42,7 @@ pub use error::SimError;
 pub use harness::{classify, counter_tiling_violation, VerdictReport};
 pub use result::{JobResult, NodeReport, RunResult};
 pub use sim::ClusterSim;
-pub use watchdog::{incident_dump, Watchdog};
+pub use watchdog::{incident_dump, run_meta, Watchdog};
 
 /// Run a configuration to completion (convenience wrapper).
 ///

@@ -243,14 +243,7 @@ impl ClusterSim {
                 procs.push(SimProc::new(pid, jid, node, rank, program));
             }
             job_procs.push(members);
-            // With a fault plan attached the barrier carries the plan's
-            // timeout; without one, the stock barrier (same default) keeps
-            // the construction path identical to the seed simulation.
-            barriers.push(if injector.is_some() {
-                Barrier::with_timeout(n, SimDur::from_us(recovery.barrier_timeout_us))
-            } else {
-                Barrier::new(n)
-            });
+            barriers.push(Barrier::new(n));
         }
 
         let njobs = cfg.jobs.len();

@@ -34,6 +34,7 @@
 
 use crate::config::ClusterConfig;
 use crate::error::SimError;
+use agp_faults::fuzz::fnv1a;
 use agp_obs::flight::{IncidentDump, IncidentTrigger, RunMeta};
 use agp_obs::{RingBuffer, WatchdogRule};
 use agp_sim::{SimDur, SimTime};
@@ -181,12 +182,23 @@ pub(crate) fn error_at_us(e: &SimError) -> u64 {
 /// The incident dump of a run that [`crate::ClusterSim::run`] aborted
 /// with `err`. `ring` is the run's flight recorder, the
 /// [`RingBuffer`] the caller put in its observer fanout; `cfg` gives
-/// the run's identity (label, seed, config fingerprint, job names and
-/// the pid→job map). A watchdog trigger (a trip or an invariant
-/// violation) ends the window with its `WatchdogTrip` marker.
+/// the run's identity ([`run_meta`]). A watchdog trigger (a trip or an
+/// invariant violation) ends the window with its `WatchdogTrip` marker.
 pub fn incident_dump(ring: RingBuffer, cfg: &ClusterConfig, err: &SimError) -> IncidentDump {
-    // Pids are numbered job by job, rank by rank, as `ClusterSim::new`
-    // registers them.
+    IncidentDump::new(
+        ring,
+        trigger_for_error(err),
+        error_at_us(err),
+        run_meta(cfg),
+    )
+}
+
+/// The identity of a run of `cfg`: its label, seed, config fingerprint
+/// (FNV-1a-64 over the config's full debug rendering, so two runs with
+/// different fingerprints are not comparable), job names and pid→job
+/// pairs. Pids are numbered job by job, rank by rank, as
+/// [`crate::ClusterSim::new`] registers them.
+pub fn run_meta(cfg: &ClusterConfig) -> RunMeta {
     let pid_job = cfg
         .jobs
         .iter()
@@ -195,27 +207,13 @@ pub fn incident_dump(ring: RingBuffer, cfg: &ClusterConfig, err: &SimError) -> I
         .enumerate()
         .map(|(pid, j)| (pid as u32, j))
         .collect();
-    let meta = RunMeta {
+    RunMeta {
         scenario: cfg.label(),
         seed: cfg.seed,
-        config_fp: config_fingerprint(cfg),
+        config_fp: fnv1a(format!("{cfg:?}").as_bytes()),
         jobs: cfg.jobs.iter().map(|j| j.name.clone()).collect(),
         pid_job,
-    };
-    IncidentDump::new(ring, trigger_for_error(err), error_at_us(err), meta)
-}
-
-/// FNV-1a-64 over the config's full debug rendering: a cheap, stable
-/// fingerprint binding an incident dump to the exact configuration that
-/// produced it (two dumps with different fingerprints are not
-/// comparable).
-fn config_fingerprint(cfg: &ClusterConfig) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in format!("{cfg:?}").bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
-    h
 }
 
 #[cfg(test)]

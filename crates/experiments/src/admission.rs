@@ -1,5 +1,5 @@
 //! **Admission control comparison** — Batat & Feitelson's alternative
-//! (§5 related work [15]): "exercising the admission control that allows
+//! (§5 related work \[15\]): "exercising the admission control that allows
 //! only those jobs that fit into the available memory gives overall
 //! improvement in performance while suffering from delayed job
 //! execution."

@@ -21,7 +21,7 @@
 //! |--------|-----------|
 //! | [`scale16`] | §6/footnote 2 — the announced 8/16-node follow-up |
 //! | [`mpl`] | §1 — overhead vs multiprogramming level |
-//! | [`admission`] | §5 [15] — Batat & Feitelson admission control comparator |
+//! | [`admission`] | §5 \[15\] — Batat & Feitelson admission control comparator |
 //!
 //! Every experiment runs at two scales: [`Scale::Paper`] reproduces the
 //! testbed geometry (1 GiB nodes, 5-minute quanta, class B/C inputs;

@@ -1,7 +1,8 @@
-//! The stream analyzer: an [`Observer`] that rebuilds per-switch causal
-//! DAGs, accumulates per-job stall attribution, and detects the paper's
-//! pathologies (false-eviction refaults, redundant page-ins, dirty-flush
-//! storms) with event provenance.
+//! The stream analyzer: an [`Observer`] that finds each switch's critical
+//! path (its longest disk-request chain), accumulates per-job stall
+//! attribution, and detects the paper's pathologies (false-eviction
+//! refaults, redundant page-ins, dirty-flush storms) with event
+//! provenance.
 //!
 //! Every event delivered to the analyzer gets a monotonically increasing
 //! sequence number; diagnostics cite those numbers (`evict#123 ->
@@ -10,11 +11,12 @@
 
 use std::collections::BTreeMap;
 
+use agp_obs::flight::RunMeta;
 use agp_obs::{ObsEvent, Observer, SwitchPhaseKind};
 use agp_sim::SimTime;
 
 use crate::causes::{Cause, CauseBuckets};
-use crate::dag::{ReqInfo, Segment, SwitchDag};
+use crate::dag::{ReqInfo, Segment, SwitchRequests};
 
 /// Write-page count at a single switch that qualifies as a dirty-flush
 /// storm (§3.3: selective page-out exists precisely to avoid shoving
@@ -69,7 +71,7 @@ pub struct JobStalls {
 }
 
 /// One detected anomaly class, with provenance samples.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Diagnostic {
     /// Stable kind tag (`false_eviction_refault`, `redundant_page_in`,
     /// `dirty_flush_storm`).
@@ -90,19 +92,19 @@ struct EvictMark {
 
 /// The analyzing sink. Attach via [`agp_obs::ObsLink::to`] (or fan out
 /// next to a [`agp_obs::Collector`]), read back after the run.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Analyzer {
+    /// Events delivered so far: the last one's sequence number.
     seq: u64,
     // -- switch assembly --
-    cur_reqs: Vec<ReqInfo>,
+    cur_reqs: SwitchRequests,
     cur_reqs_at: u64,
     cur_pageout_us: u64,
     cur_pagein_us: u64,
-    // Injected-fault time since the last switch, as (at_us, us) pairs:
+    // Injected-fault time since the last switch, as (at_us, cause, us):
     // only entries stamped at (or after) the switch instant belong to
     // the switch's drain; earlier ones were mid-quantum demand faults.
-    cur_fault_io: Vec<(u64, u64)>,
-    cur_fault_slow: Vec<(u64, u64)>,
+    cur_fault: Vec<(u64, Cause, u64)>,
     switches: Vec<SwitchExplain>,
     // -- anomaly state (BTreeMaps keep iteration deterministic) --
     last_evict: BTreeMap<(u32, u32), EvictMark>,
@@ -112,25 +114,15 @@ pub struct Analyzer {
     // -- job attribution --
     jobs: Vec<JobStalls>,
     pid_job: BTreeMap<u32, usize>,
-    // -- diagnostics --
+    // -- diagnostics (their kinds are stamped by `diagnostics()`) --
     false_refault: Diagnostic,
     redundant: Diagnostic,
     storm: Diagnostic,
     /// Pages the background writer cleaned ahead of switches.
     bg_cleaned_pages: u64,
-    events: u64,
 }
 
 impl Diagnostic {
-    fn new(kind: &'static str) -> Diagnostic {
-        Diagnostic {
-            kind,
-            count: 0,
-            us: 0,
-            samples: Vec::new(),
-        }
-    }
-
     fn hit(&mut self, us: u64, sample: String) {
         self.count += 1;
         self.us += us;
@@ -140,54 +132,31 @@ impl Diagnostic {
     }
 }
 
-impl Default for Analyzer {
-    fn default() -> Self {
-        Analyzer::new()
-    }
-}
-
 impl Analyzer {
     /// An analyzer without job attribution (the `jobs` section stays
     /// empty; switch and diagnostic analysis is unaffected).
     pub fn new() -> Analyzer {
-        Analyzer {
-            seq: 0,
-            cur_reqs: Vec::new(),
-            cur_reqs_at: 0,
-            cur_pageout_us: 0,
-            cur_pagein_us: 0,
-            cur_fault_io: Vec::new(),
-            cur_fault_slow: Vec::new(),
-            switches: Vec::new(),
-            last_evict: BTreeMap::new(),
-            staged: BTreeMap::new(),
-            wasted: BTreeMap::new(),
-            last_fault_seq: BTreeMap::new(),
-            jobs: Vec::new(),
-            pid_job: BTreeMap::new(),
-            false_refault: Diagnostic::new("false_eviction_refault"),
-            redundant: Diagnostic::new("redundant_page_in"),
-            storm: Diagnostic::new("dirty_flush_storm"),
-            bg_cleaned_pages: 0,
-            events: 0,
-        }
+        Analyzer::default()
     }
 
-    /// An analyzer that attributes stalls to jobs. `names` are the job
-    /// names in submission order; `pid_job` maps every pid to its index
-    /// in `names` (pids are assigned sequentially per job, so the map
-    /// is derivable from the cluster config — see
-    /// [`crate::explain_run`]).
-    pub fn with_jobs(names: Vec<String>, pid_job: BTreeMap<u32, usize>) -> Analyzer {
+    /// An analyzer that attributes stalls to the jobs of `meta`: its
+    /// job names and its pid→job pairs (`agp_cluster::run_meta` derives
+    /// both from a cluster config).
+    pub fn with_jobs(meta: &RunMeta) -> Analyzer {
         let mut a = Analyzer::new();
-        a.jobs = names
-            .into_iter()
+        a.jobs = meta
+            .jobs
+            .iter()
             .map(|name| JobStalls {
-                name,
+                name: name.clone(),
                 ..JobStalls::default()
             })
             .collect();
-        a.pid_job = pid_job;
+        a.pid_job = meta
+            .pid_job
+            .iter()
+            .map(|&(pid, job)| (pid, job as usize))
+            .collect();
         a
     }
 
@@ -204,11 +173,13 @@ impl Analyzer {
     /// The three diagnostic classes, in stable order. Zero-count
     /// diagnostics are included so reports are shape-stable.
     pub fn diagnostics(&self) -> Vec<Diagnostic> {
-        vec![
-            self.false_refault.clone(),
-            self.redundant.clone(),
-            self.storm.clone(),
+        [
+            ("false_eviction_refault", &self.false_refault),
+            ("redundant_page_in", &self.redundant),
+            ("dirty_flush_storm", &self.storm),
         ]
+        .map(|(kind, d)| Diagnostic { kind, ..d.clone() })
+        .into()
     }
 
     /// Pages the background writer cleaned (the bg-write savings side
@@ -218,47 +189,20 @@ impl Analyzer {
         self.bg_cleaned_pages
     }
 
-    /// Events delivered to this analyzer.
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-
     fn job_mut(&mut self, pid: u32) -> Option<&mut JobStalls> {
         let j = *self.pid_job.get(&pid)?;
         self.jobs.get_mut(j)
     }
 
     fn finish_switch(&mut self, switch: u64, at_us: u64, total_us: u64) {
-        let reqs: Vec<ReqInfo> = if self.cur_reqs_at == at_us {
-            std::mem::take(&mut self.cur_reqs)
-        } else {
-            Vec::new()
-        };
-        let pageout_us = self.cur_pageout_us;
-        let pagein_us = self.cur_pagein_us;
-        self.cur_reqs.clear();
-        self.cur_pageout_us = 0;
-        self.cur_pagein_us = 0;
-        // Fault time stamped at the switch instant or later happened
-        // inside this drain (retry timestamps advance past the switch
-        // start as backoff accumulates); anything earlier belongs to the
-        // preceding quantum's demand faults and is discarded.
-        let fault_io_us: u64 = self
-            .cur_fault_io
-            .iter()
-            .filter(|&&(t, _)| t >= at_us)
-            .map(|&(_, us)| us)
-            .sum();
-        let fault_slow_us: u64 = self
-            .cur_fault_slow
-            .iter()
-            .filter(|&&(t, _)| t >= at_us)
-            .map(|&(_, us)| us)
-            .sum();
-        self.cur_fault_io.clear();
-        self.cur_fault_slow.clear();
+        let mut reqs = std::mem::take(&mut self.cur_reqs);
+        if self.cur_reqs_at != at_us {
+            reqs = SwitchRequests::default();
+        }
+        let pageout_us = std::mem::take(&mut self.cur_pageout_us);
+        let pagein_us = std::mem::take(&mut self.cur_pagein_us);
 
-        let cp = SwitchDag::build(pageout_us, &reqs).critical_path();
+        let cp = reqs.critical_path(pageout_us);
         let segments = cp.attributed(total_us);
         let mut causes = CauseBuckets::new();
         for s in &segments {
@@ -269,18 +213,29 @@ impl Analyzer {
         // requests explain (error service + backoff, latency penalties),
         // so the stretch sits in the unexplained remainder. Carve it out
         // into the fault taxonomy, clamped so buckets still tile the
-        // switch latency exactly.
-        causes.reassign(Cause::Other, Cause::FaultIoError, fault_io_us);
-        causes.reassign(Cause::Other, Cause::FaultDiskSlow, fault_slow_us);
+        // switch latency exactly. Fault time stamped at the switch
+        // instant or later happened inside this drain (retry timestamps
+        // advance past the switch start as backoff accumulates); anything
+        // earlier belongs to the preceding quantum's demand faults and is
+        // discarded.
+        for fault in [Cause::FaultIoError, Cause::FaultDiskSlow] {
+            let us = self
+                .cur_fault
+                .iter()
+                .filter(|&&(t, cause, _)| t >= at_us && cause == fault)
+                .map(|&(_, _, us)| us)
+                .sum();
+            causes.reassign(Cause::Other, fault, us);
+        }
+        self.cur_fault.clear();
 
-        let write_pages: u64 = reqs.iter().filter(|r| r.write).map(|r| r.pages).sum();
-        if write_pages >= STORM_THRESHOLD_PAGES {
-            let bursts = reqs.iter().filter(|r| r.write).count();
+        if reqs.write_pages >= STORM_THRESHOLD_PAGES {
             self.storm.hit(
                 pageout_us,
                 format!(
-                    "switch#{switch}: {write_pages} dirty pages flushed in {bursts} bursts \
-                     at {at_us}us (page-out phase {pageout_us}us)"
+                    "switch#{switch}: {} dirty pages flushed in {} bursts \
+                     at {at_us}us (page-out phase {pageout_us}us)",
+                    reqs.write_pages, reqs.writes
                 ),
             );
         }
@@ -307,7 +262,6 @@ impl Observer for Analyzer {
     )]
     fn on_event(&mut self, at: SimTime, src: u32, ev: &ObsEvent) {
         self.seq += 1;
-        self.events += 1;
         let seq = self.seq;
         let at_us = at.as_us();
         match *ev {
@@ -323,13 +277,12 @@ impl Observer for Analyzer {
                 // switch (switch events follow their submissions at the
                 // same timestamp), so older requests are dropped here.
                 if self.cur_reqs_at != at_us {
-                    self.cur_reqs.clear();
+                    self.cur_reqs = SwitchRequests::default();
                     self.cur_reqs_at = at_us;
                 }
                 self.cur_reqs.push(ReqInfo {
                     seq,
                     src,
-                    at_us,
                     write,
                     pages,
                     wait_us,
@@ -423,13 +376,16 @@ impl Observer for Analyzer {
                 self.bg_cleaned_pages += pages;
             }
             ObsEvent::DiskError { service_us, .. } => {
-                self.cur_fault_io.push((at_us, service_us));
+                self.cur_fault
+                    .push((at_us, Cause::FaultIoError, service_us));
             }
             ObsEvent::IoRetry { backoff_us, .. } => {
-                self.cur_fault_io.push((at_us, backoff_us));
+                self.cur_fault
+                    .push((at_us, Cause::FaultIoError, backoff_us));
             }
             ObsEvent::DiskSlowdown { penalty_us } => {
-                self.cur_fault_slow.push((at_us, penalty_us));
+                self.cur_fault
+                    .push((at_us, Cause::FaultDiskSlow, penalty_us));
             }
             // Intentionally unanalyzed, but named so the match stays
             // exhaustive: adding an ObsEvent variant without deciding how
@@ -660,9 +616,11 @@ mod tests {
 
     #[test]
     fn false_eviction_refault_is_detected_with_provenance() {
-        let mut pid_job = BTreeMap::new();
-        pid_job.insert(7u32, 0usize);
-        let mut a = Analyzer::with_jobs(vec!["lu.0".into()], pid_job);
+        let mut a = Analyzer::with_jobs(&RunMeta {
+            jobs: vec!["lu.0".into()],
+            pid_job: vec![(7, 0)],
+            ..RunMeta::default()
+        });
         feed(
             &mut a,
             1_000,
@@ -801,7 +759,10 @@ mod tests {
 
     #[test]
     fn barrier_skew_lands_on_the_src_job() {
-        let mut a = Analyzer::with_jobs(vec!["a".into(), "b".into()], BTreeMap::new());
+        let mut a = Analyzer::with_jobs(&RunMeta {
+            jobs: vec!["a".into(), "b".into()],
+            ..RunMeta::default()
+        });
         feed(
             &mut a,
             1_000,

@@ -1,4 +1,4 @@
-//! The stable cause taxonomy every critical-path nanosecond is bucketed
+//! The stable cause taxonomy every critical-path microsecond is bucketed
 //! into, and the fixed-size accumulator that keeps cause totals exact.
 //!
 //! The names are part of the `agp explain` JSON schema: they are emitted
@@ -9,9 +9,9 @@ use std::fmt;
 
 /// Where a slice of switch critical-path time went.
 ///
-/// The first seven causes correspond to edges of the per-switch event
-/// DAG (§3.2 of the paper's switch protocol: drain page-out writes, then
-/// drain page-in reads). [`Cause::Other`] absorbs any remainder the
+/// The first seven causes are the slices of a switch's critical request
+/// chain (§3.2 of the paper's switch protocol: drain page-out writes,
+/// then drain page-in reads). [`Cause::Other`] absorbs any remainder the
 /// recorded disk requests cannot explain, so per-switch buckets always
 /// sum to the switch latency exactly.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]

@@ -4,6 +4,7 @@
 
 use agp_metrics::{Json, Table};
 
+use crate::analyze::Diagnostic;
 use crate::causes::Cause;
 use crate::report::{inum, meta_json, num, ExplainReport, EXPLAIN_SCHEMA_VERSION};
 
@@ -33,6 +34,13 @@ impl Delta {
             ("delta".into(), inum(self.delta())),
         ])
     }
+}
+
+/// The false-eviction refault diagnostic of `r`.
+fn false_refaults(r: &ExplainReport) -> Option<&Diagnostic> {
+    r.diagnostics
+        .iter()
+        .find(|d| d.kind == "false_eviction_refault")
 }
 
 /// The differential report `agp explain <id> --against <policy>` emits.
@@ -87,37 +95,20 @@ impl ExplainDiff {
     /// False-eviction refault stall delta, µs (the §3.1 bucket the
     /// selective page-out bit exists to shrink).
     pub fn false_eviction_stall(&self) -> Delta {
-        let stall = |r: &ExplainReport| {
-            r.diagnostics
-                .iter()
-                .find(|d| d.kind == "false_eviction_refault")
-                .map(|d| d.us)
-                .unwrap_or(0)
-        };
+        let stall = |r: &ExplainReport| false_refaults(r).map_or(0, |d| d.us);
         Delta::of(stall(&self.test), stall(&self.base))
     }
 
     /// False-eviction refault counts (test, base).
     pub fn false_eviction_counts(&self) -> Delta {
-        let count = |r: &ExplainReport| {
-            r.diagnostics
-                .iter()
-                .find(|d| d.kind == "false_eviction_refault")
-                .map(|d| d.count)
-                .unwrap_or(0)
-        };
+        let count = |r: &ExplainReport| false_refaults(r).map_or(0, |d| d.count);
         Delta::of(count(&self.test), count(&self.base))
     }
 
     /// Provenance samples of the base run's false-eviction refaults —
     /// the named events whose elimination the delta is attributed to.
     pub fn base_false_eviction_samples(&self) -> &[String] {
-        self.base
-            .diagnostics
-            .iter()
-            .find(|d| d.kind == "false_eviction_refault")
-            .map(|d| d.samples.as_slice())
-            .unwrap_or(&[])
+        false_refaults(&self.base).map_or(&[], |d| d.samples.as_slice())
     }
 
     /// Background-writer cleaned-page delta (the bg-write savings side).

@@ -4,10 +4,11 @@
 //! policy removes; this crate says *why*. It consumes the deterministic
 //! [`agp_obs::ObsEvent`] stream of a run and
 //!
-//! 1. rebuilds a **causal event DAG** per gang switch (fault → disk
-//!    queue wait → seek → transfer → resume edges, joined through the
-//!    page-out barrier exactly like the simulator's §3.2 switch
-//!    protocol), extracts its critical path, and buckets every critical
+//! 1. finds each gang switch's **critical path**: the longest of its
+//!    disk requests' `queue wait → seek → transfer` chains (each
+//!    request's queue wait already holds the FIFO ahead of it, so no
+//!    chain waits on another; the switch ends with the last, as in the
+//!    simulator's §3.2 switch protocol), and buckets every critical
 //!    microsecond into a stable [`Cause`] taxonomy — per-switch buckets
 //!    sum to the switch latency `agp profile` reports, exactly;
 //! 2. detects the paper-specific pathologies as typed [`Diagnostic`]s
@@ -39,7 +40,7 @@ pub mod report;
 
 pub use analyze::{Analyzer, Diagnostic, JobStalls, SwitchExplain, STORM_THRESHOLD_PAGES};
 pub use causes::{Cause, CauseBuckets};
-pub use dag::{CriticalPath, ReqInfo, Segment, SwitchDag};
+pub use dag::{CriticalPath, ReqInfo, Segment, SwitchRequests};
 pub use diff::{Delta, ExplainDiff};
 pub use postmortem::{
     load_dump, triage_class, PostmortemReport, CULPRIT_LIMIT, POSTMORTEM_SCHEMA_VERSION,
@@ -47,10 +48,8 @@ pub use postmortem::{
 };
 pub use report::{ExplainReport, RunMeta, EXPLAIN_SCHEMA_VERSION, SWITCH_DETAIL_LIMIT};
 
-use std::collections::BTreeMap;
-
 use agp_cluster::{ClusterConfig, RunResult, ScheduleMode};
-use agp_obs::{shared, ObsLink};
+use agp_obs::{shared, unwrap_shared, ObsLink};
 
 /// Run `cfg` with an attached [`Analyzer`] and assemble the
 /// [`ExplainReport`]. `experiment` and `scale` label the report's meta
@@ -64,27 +63,11 @@ pub fn explain_run(
     experiment: &str,
     scale: &str,
 ) -> Result<(RunResult, ExplainReport), String> {
-    let mut names = Vec::new();
-    let mut pid_job = BTreeMap::new();
-    let mut next_pid = 0u32;
-    for (j, job) in cfg.jobs.iter().enumerate() {
-        names.push(job.name.clone());
-        for _ in 0..job.workload.nprocs {
-            pid_job.insert(next_pid, j);
-            next_pid += 1;
-        }
-    }
-    let sink = shared(Analyzer::with_jobs(names, pid_job));
+    let sink = shared(Analyzer::with_jobs(&agp_cluster::run_meta(cfg)));
     let link = ObsLink::to(sink.clone());
     let result = agp_cluster::run_observed(cfg.clone(), &link)?;
     drop(link);
-    let analyzer = match std::sync::Arc::try_unwrap(sink) {
-        Ok(m) => match m.into_inner() {
-            Ok(a) => a,
-            Err(p) => p.into_inner(),
-        },
-        Err(_) => return Err("explain analyzer still shared after the run".into()),
-    };
+    let analyzer = unwrap_shared(sink)?;
     let meta = RunMeta {
         experiment: experiment.into(),
         scale: scale.into(),

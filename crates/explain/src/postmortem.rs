@@ -26,8 +26,6 @@
 //! whole pipeline is reproducible: same seed → same trip → same dump →
 //! same report.
 
-use std::collections::BTreeMap;
-
 use agp_faults::fuzz::Verdict;
 use agp_metrics::{Json, Table};
 use agp_obs::flight::{self, IncidentDump, IncidentTrigger, RunMeta, DUMP_SCHEMA_VERSION};
@@ -35,7 +33,7 @@ use agp_obs::{ObsEvent, Observer, TracedEvent, WatchdogRule};
 
 use crate::analyze::{Analyzer, Diagnostic, JobStalls};
 use crate::causes::CauseBuckets;
-use crate::report::{causes_json, diag_json, job_json, num};
+use crate::report::{causes_json, causes_table, diag_json, job_json, num};
 
 /// Schema version stamped into every postmortem document.
 pub const POSTMORTEM_SCHEMA_VERSION: u64 = 1;
@@ -273,11 +271,7 @@ impl PostmortemReport {
         }
         // Replay the window through the explain analyzer: identical
         // attribution machinery, applied to the incident's last window.
-        let mut pid_job = BTreeMap::new();
-        for (pid, job) in &dump.meta.pid_job {
-            pid_job.insert(*pid, *job as usize);
-        }
-        let mut analyzer = Analyzer::with_jobs(dump.meta.jobs.clone(), pid_job);
+        let mut analyzer = Analyzer::with_jobs(&dump.meta);
         for TracedEvent { at, src, event } in &dump.events {
             analyzer.on_event(*at, *src, event);
         }
@@ -484,21 +478,11 @@ impl PostmortemReport {
             t1.row(vec![(*class).to_string(), count.to_string()]);
         }
 
-        let mut t2 = Table::new(
+        let t2 = causes_table(
             "Critical-path causes (window replay)",
-            &["cause", "time (us)", "share (%)"],
+            &self.causes,
+            self.switch_total_us,
         );
-        let total = self.switch_total_us.max(1) as f64;
-        for (cause, us) in self.causes.iter() {
-            if cause.is_fault() && us == 0 {
-                continue;
-            }
-            t2.row(vec![
-                cause.name().into(),
-                us.to_string(),
-                format!("{:.1}", us as f64 * 100.0 / total),
-            ]);
-        }
 
         let mut t3 = Table::new("Last events before the freeze", &["trace line"]);
         for line in &self.culprits {

@@ -126,24 +126,14 @@ impl ExplainReport {
 
     /// The human-facing tables `agp explain` prints.
     pub fn tables(&self) -> Vec<Table> {
-        let mut t1 = Table::new(
+        let t1 = causes_table(
             format!(
                 "Critical-path causes — {} ({})",
                 self.meta.policy, self.meta.experiment
             ),
-            &["cause", "time (us)", "share (%)"],
+            &self.causes,
+            self.switch_total_us,
         );
-        let total = self.switch_total_us.max(1) as f64;
-        for (cause, us) in self.causes.iter() {
-            if cause.is_fault() && us == 0 {
-                continue;
-            }
-            t1.row(vec![
-                cause.name().into(),
-                us.to_string(),
-                format!("{:.1}", us as f64 * 100.0 / total),
-            ]);
-        }
 
         let mut t2 = Table::new(
             "Slowest switches (critical path)",
@@ -219,6 +209,28 @@ impl ExplainReport {
         ));
         out
     }
+}
+
+/// Time and share of `total_us` per cause; the fault causes only when
+/// they hold time.
+pub(crate) fn causes_table(
+    title: impl Into<String>,
+    causes: &CauseBuckets,
+    total_us: u64,
+) -> Table {
+    let mut t = Table::new(title, &["cause", "time (us)", "share (%)"]);
+    let total = total_us.max(1) as f64;
+    for (cause, us) in causes.iter() {
+        if cause.is_fault() && us == 0 {
+            continue;
+        }
+        t.row(vec![
+            cause.name().into(),
+            us.to_string(),
+            format!("{:.1}", us as f64 * 100.0 / total),
+        ]);
+    }
+    t
 }
 
 pub(crate) fn num(v: u64) -> Json {

@@ -19,7 +19,7 @@ pub enum PlanError {
     Parse(String),
     /// A node that must be a JSON object is not (`what` names it).
     NotObject {
-        /// Which plan node ("plan", "recovery", "faults[i]").
+        /// Which plan node (`"plan"`, `"recovery"`, `"faults[i]"`).
         what: String,
     },
     /// `plan.faults` is present but not an array.

@@ -5,7 +5,7 @@
 //! batch allocations (whole-working-set page-outs) carve large contiguous
 //! runs, which is what later makes block page-in cheap — the same
 //! dependence on swap layout that real block-paging systems exploit
-//! (paper §1, VM/HPO reference [6]). Freeing is a bit clear: every write
+//! (paper §1, VM/HPO reference \[6\]). Freeing is a bit clear: every write
 //! to a page with a clean swap copy frees that copy (the Linux swap-cache
 //! rule), so frees sit on the touch path and must cost O(1).
 
@@ -63,7 +63,7 @@ impl SwapSpace {
     ///
     /// Returns the allocated extents sorted by start. Each lies in a
     /// different maximal free run, so no two are adjacent: handing out
-    /// their blocks in order and keeping a prefix ([`Self::keep_prefix`])
+    /// their blocks in order and keeping a prefix (`keep_prefix`)
     /// yields already coalesced extents. Fails with
     /// [`MemError::SwapFull`] if fewer than `n` blocks are free, in which
     /// case nothing is allocated.

@@ -73,24 +73,11 @@ impl NetParams {
     }
 }
 
-/// Default [`Barrier`] timeout: 60 simulated seconds.
-///
-/// Far beyond any legitimate wait in the modelled workloads — the worst
-/// quantum in the paper's experiments is 20 s and barrier episodes
-/// complete within one quantum — yet short enough that a lost release
-/// message (chaos injection, or any future bug that strands an episode)
-/// surfaces as a bounded re-issue instead of an infinite hang.
-pub const DEFAULT_BARRIER_TIMEOUT: SimDur = SimDur::from_secs(60);
-
 /// A reusable job-wide barrier: counts arrivals and reports the release
 /// instant once everyone has arrived. Automatically resets for the next
-/// iteration's barrier.
-///
-/// Every episode carries a deadline ([`Barrier::deadline`]): the first
-/// arrival plus the configured timeout. Waiting is therefore *total* —
-/// a driver that polls [`Barrier::expired`] (as the cluster simulator
-/// does) is guaranteed to either see the release or hit the deadline
-/// and recover; no lost release message can wedge the system.
+/// iteration's barrier. It keeps no deadline: a simulation that loses
+/// a release sends it again on its own timer, and [`Barrier::reset`]
+/// abandons an episode.
 #[derive(Clone, Debug)]
 pub struct Barrier {
     size: u32,
@@ -100,28 +87,18 @@ pub struct Barrier {
     pub episodes: u64,
     /// First arrival instant of the current episode (for skew tracking).
     first_arrival: Option<SimTime>,
-    timeout: SimDur,
     obs: ObsLink,
 }
 
 impl Barrier {
-    /// A barrier over `size` ranks with the
-    /// [default timeout](DEFAULT_BARRIER_TIMEOUT).
+    /// A barrier over `size` ranks.
     pub fn new(size: u32) -> Self {
-        Barrier::with_timeout(size, DEFAULT_BARRIER_TIMEOUT)
-    }
-
-    /// A barrier over `size` ranks whose episodes expire `timeout`
-    /// after their first arrival. A zero timeout is clamped to 1 µs so
-    /// the deadline is always after the first arrival.
-    pub fn with_timeout(size: u32, timeout: SimDur) -> Self {
         Barrier {
             size: size.max(1),
             arrived: vec![false; size.max(1) as usize],
             count: 0,
             episodes: 0,
             first_arrival: None,
-            timeout: timeout.max(SimDur::from_us(1)),
             obs: ObsLink::disabled(),
         }
     }
@@ -142,25 +119,8 @@ impl Barrier {
         self.count
     }
 
-    /// Configured episode timeout.
-    pub fn timeout(&self) -> SimDur {
-        self.timeout
-    }
-
-    /// Deadline of the in-flight episode: first arrival + timeout.
-    /// `None` when no rank is waiting.
-    pub fn deadline(&self) -> Option<SimTime> {
-        self.first_arrival.map(|f| f + self.timeout)
-    }
-
-    /// Whether the in-flight episode has outlived its deadline at
-    /// `now`. Always `false` when no rank is waiting.
-    pub fn expired(&self, now: SimTime) -> bool {
-        self.deadline().is_some_and(|d| now >= d)
-    }
-
-    /// Abandon the in-flight episode (crash recovery / timeout
-    /// re-issue): forget all arrivals without counting an episode.
+    /// Abandon the in-flight episode (crash recovery): forget all
+    /// arrivals without counting an episode.
     /// Returns how many ranks were waiting.
     pub fn reset(&mut self) -> u32 {
         let waiting = self.count;
@@ -280,24 +240,6 @@ mod tests {
     }
 
     #[test]
-    fn deadline_tracks_the_first_arrival() {
-        let net = NetParams::default();
-        let mut b = Barrier::with_timeout(3, SimDur::from_secs(10));
-        assert_eq!(b.deadline(), None);
-        assert!(!b.expired(SimTime::from_mins(60)));
-        b.arrive(1, SimTime::from_secs(5), &net);
-        assert_eq!(b.deadline(), Some(SimTime::from_secs(15)));
-        assert!(!b.expired(SimTime::from_secs(14)));
-        assert!(b.expired(SimTime::from_secs(15)));
-        // A later second arrival does not move the deadline.
-        b.arrive(0, SimTime::from_secs(9), &net);
-        assert_eq!(b.deadline(), Some(SimTime::from_secs(15)));
-        // Release clears it.
-        b.arrive(2, SimTime::from_secs(9), &net);
-        assert_eq!(b.deadline(), None);
-    }
-
-    #[test]
     fn reset_abandons_the_episode_without_counting_it() {
         let net = NetParams::default();
         let mut b = Barrier::new(2);
@@ -305,24 +247,11 @@ mod tests {
         assert!(b.arrive(0, t, &net).is_none());
         assert_eq!(b.reset(), 1);
         assert_eq!(b.waiting(), 0);
-        assert_eq!(b.deadline(), None);
         assert_eq!(b.episodes, 0);
         // Both ranks can arrive again in the fresh episode.
         assert!(b.arrive(0, t, &net).is_none());
         assert!(b.arrive(1, t, &net).is_some());
         assert_eq!(b.episodes, 1);
-    }
-
-    #[test]
-    fn default_timeout_is_sixty_seconds() {
-        assert_eq!(DEFAULT_BARRIER_TIMEOUT, SimDur::from_secs(60));
-        assert_eq!(Barrier::new(4).timeout(), DEFAULT_BARRIER_TIMEOUT);
-        // Zero timeout is clamped so deadlines are strictly after the
-        // first arrival.
-        assert_eq!(
-            Barrier::with_timeout(2, SimDur::ZERO).timeout(),
-            SimDur::from_us(1)
-        );
     }
 
     #[test]

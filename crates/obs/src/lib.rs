@@ -65,7 +65,7 @@ mod sink;
 pub use agp_perf::LatencyHistogram;
 pub use collector::{Collector, ObsCounters, SwitchRecord};
 pub use event::{ObsEvent, SwitchPhaseKind, WatchdogRule, SRC_CLUSTER};
-pub use observer::{shared, ObsLink, Observer, SharedSink};
+pub use observer::{shared, unwrap_shared, ObsLink, Observer, SharedSink};
 pub use sink::{
     trace_diff, JsonlWriter, RingBuffer, TraceDivergence, TracedEvent, DIFF_CONTEXT_LINES,
 };

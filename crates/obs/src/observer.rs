@@ -26,6 +26,16 @@ pub fn shared<T: Observer + Send + 'static>(sink: T) -> Arc<Mutex<T>> {
     Arc::new(Mutex::new(sink))
 }
 
+/// Take a [`shared`] sink back once the run has dropped every
+/// [`ObsLink`] that held it (a poisoned lock still yields the sink).
+pub fn unwrap_shared<T>(sink: Arc<Mutex<T>>) -> Result<T, String> {
+    let mutex = Arc::try_unwrap(sink)
+        .map_err(|_| "observer sink still shared after the run".to_string())?;
+    Ok(mutex
+        .into_inner()
+        .unwrap_or_else(std::sync::PoisonError::into_inner))
+}
+
 struct LinkInner {
     sinks: Vec<SharedSink>,
     /// Last event-loop instant, maintained by the simulation via

@@ -9,7 +9,7 @@
 //! crate doing the work (`sim` = the cluster event loop, `mem` = the
 //! kernel/paging engine, `disk`/`net` = device models, `obs` = event
 //! emission). [`Span::Run`] is the root: it encloses one complete
-//! [`ClusterSim::run`] and is what per-span exclusive times tile against.
+//! `ClusterSim::run` and is what per-span exclusive times tile against.
 
 /// One instrumented code region. The discriminant is the dense span id.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]

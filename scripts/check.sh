@@ -37,6 +37,9 @@ cargo clippy --workspace -- -D warnings
 # unwrap/expect warnings stay warnings, and deny-level lints (an
 # always-true comparison, say) fail the gate.
 cargo clippy --workspace --all-targets
+# Rustdoc with warnings denied: a doc link to an item that was renamed or
+# deleted, or a public doc linking a private item, fails the gate.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # The rules must stay able to fire: the hazard fixture seeds one site per
 # hazard class, and clippy must reject exactly the marked lines.
 bash tests/hazards/check.sh
