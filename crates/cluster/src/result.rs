@@ -9,7 +9,7 @@ use agp_workload::WorkloadSpec;
 use crate::config::ScheduleMode;
 
 /// Outcome of one job.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct JobResult {
     /// Job name from the config.
     pub name: String,
@@ -22,7 +22,7 @@ pub struct JobResult {
 }
 
 /// Per-node accounting.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct NodeReport {
     /// Paging-device statistics.
     pub disk: DiskStats,
@@ -35,7 +35,7 @@ pub struct NodeReport {
 }
 
 /// Everything a finished run reports.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RunResult {
     /// Policy the run used.
     pub policy: PolicyConfig,

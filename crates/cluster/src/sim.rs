@@ -30,7 +30,7 @@ use agp_core::{EngineStats, PagingEngine};
 use agp_disk::{Disk, DiskRequest};
 use agp_faults::{DiskOutcome, FaultInjector, RecoveryPolicy, TimedFault};
 use agp_gang::{GangScheduler, JobId, NodeSet};
-use agp_mem::{Kernel, MemError, PageNum, ProcId, VmParams};
+use agp_mem::{Kernel, MemError, PageNum, PageState, ProcId, VmParams};
 use agp_metrics::ActivityTrace;
 use agp_net::Barrier;
 use agp_obs::{ObsEvent, ObsLink, SwitchPhaseKind, SRC_CLUSTER};
@@ -653,10 +653,14 @@ impl ClusterSim {
                             return Ok(());
                         }
                         // Pure zero-fill: the page is mapped; charge any
-                        // CPU and keep going.
+                        // CPU and keep going, through as many of the
+                        // first touches that follow as the bulk step may
+                        // take.
                         if cpu.as_us() > 0 {
+                            let m = self.first_touch_bulk(p, t_fault)?;
                             let gen = self.procs[p].gen;
-                            self.queue.push(t_fault, Event::Dispatch { p, gen });
+                            self.queue
+                                .push(t_fault + cpu_per_page * m, Event::Dispatch { p, gen });
                             return Ok(());
                         }
                         continue;
@@ -738,6 +742,112 @@ impl ClusterSim {
                 }
             }
         }
+    }
+
+    /// The bulk first-touch step. Process `p` has just zero-filled page A
+    /// of its touch step at `t`, so the one-page path would next run
+    /// `Dispatch` event j at `t + (j−1)·c` (c = `cpu_per_page`), which
+    /// touches A+j−1 and zero-fills A+j at `t + j·c`. This applies the
+    /// first m of those events at once (see
+    /// [`PagingEngine::first_touch_run`]): the step advances m pages, the
+    /// run counts m events, and the job's progress moves to the last
+    /// one's instant. Returns m; the caller pushes the next dispatch at
+    /// `t + m·c`.
+    ///
+    /// m stops before the touch of the step's last page, which ends the
+    /// step the one-page way, before an event past `max_sim_time`, and
+    /// before the first event at or past [`ClusterSim::lookahead_bound`].
+    /// When something watches the event order (an observer, the invariant
+    /// sweep, a watchdog, or a fault plan, whose random streams serve
+    /// every node in turn) m is 0: such runs take the one-page path.
+    fn first_touch_bulk(&mut self, p: usize, t: SimTime) -> Result<u64, SimError> {
+        let Some(CurStep::Touch {
+            first,
+            len,
+            done,
+            write,
+            cpu_per_page: c,
+        }) = self.procs[p].cur
+        else {
+            return Ok(0);
+        };
+        let watched = self.cfg.check_invariants
+            || self.watchdog.is_some()
+            || self.obs.enabled()
+            || self.injector.is_some();
+        let ni = self.procs[p].node;
+        let limit = SimTime::ZERO + self.cfg.max_sim_time;
+        if watched || self.cfg.chunk_pages < 2 || c.as_us() == 0 || t > limit {
+            return Ok(0);
+        }
+        // The cheap bounds: the step's last page, the run's time limit,
+        // the frames above the floor and the next page's state.
+        let mut max = u64::from(len.saturating_sub(done + 1))
+            .min(limit.since(t).as_us() / c.as_us() + 1)
+            .min(self.nodes[ni].kernel.first_touch_room() as u64);
+        let pid = self.procs[p].pid;
+        let next = PageNum(first + done + 1);
+        let pt = &self.nodes[ni]
+            .kernel
+            .proc(pid)
+            .map_err(mem_err("first_touch_run", ni, t))?
+            .pt;
+        if max == 0 || next.idx() >= pt.len() || pt.state(next) != PageState::Untouched {
+            return Ok(0);
+        }
+        if let Some(bound) = self.lookahead_bound(ni) {
+            // Event j, at t + (j−1)·c, must come before the bound.
+            let before = bound.since(t).as_us();
+            max = max.min(before.saturating_sub(1) / c.as_us() + u64::from(before > 0));
+        }
+        let m = {
+            let node = &mut self.nodes[ni];
+            let page = PageNum(first + done);
+            node.engine
+                .first_touch_run(&mut node.kernel, pid, page, max as usize, write, t, c)
+                .map_err(mem_err("first_touch_run", ni, t))? as u64
+        };
+        if m > 0 {
+            self.procs[p].cur = Some(CurStep::Touch {
+                first,
+                len,
+                done: done + m as u32,
+                write,
+                cpu_per_page: c,
+            });
+            self.events += m;
+            self.job_last_progress[self.procs[p].job.0 as usize] = t + c * (m - 1);
+        }
+        Ok(m)
+    }
+
+    /// The earliest instant at which a pending event could touch node
+    /// `ni`, or `None` for an empty queue. A stale `Dispatch` or `IoDone`
+    /// does nothing. A live one of a process on another node that is
+    /// inside a touch step counts at the earliest end of that step, its
+    /// instant plus the CPU of the pages left: until then the process
+    /// reads and writes only its own node. Every other event counts at
+    /// its own instant.
+    fn lookahead_bound(&self, ni: usize) -> Option<SimTime> {
+        self.queue
+            .iter()
+            .filter_map(|(at, ev)| match *ev {
+                Event::Dispatch { p, gen } | Event::IoDone { p, gen } => {
+                    let q = &self.procs[p];
+                    match q.cur {
+                        _ if !q.live(gen) => None,
+                        Some(CurStep::Touch {
+                            len,
+                            done,
+                            cpu_per_page,
+                            ..
+                        }) if q.node != ni => Some(at + cpu_per_page * u64::from(len - done)),
+                        _ => Some(at),
+                    }
+                }
+                _ => Some(at),
+            })
+            .min()
     }
 
     fn release_barrier(&mut self, job: usize) -> Result<(), SimError> {
@@ -1476,6 +1586,7 @@ fn vm_params(cfg: &ClusterConfig) -> VmParams {
 mod tests {
     use super::*;
     use crate::config::JobSpec;
+    use agp_core::policy::BaselineKind;
     use agp_core::PolicyConfig;
     use agp_sim::SimDur;
     use agp_workload::{Benchmark, Class, WorkloadSpec};
@@ -1609,6 +1720,29 @@ mod tests {
         assert_eq!(a.total_pages_in(), b.total_pages_in());
     }
 
+    /// A run with the invariant sweep takes the one-page path, so the
+    /// bulk first touch neither delays a sweep nor skips one: a
+    /// pressured single-node run (`agp sim --bench LU --class A --nodes 1
+    /// --mem 64 --wired 8 --quantum 5 --check-invariants`) and a two-node
+    /// lockstep run keep their event and sweep counts.
+    #[test]
+    fn bulk_first_touch_keeps_every_sweep() {
+        let counts = |cfg| {
+            let r = ClusterSim::new(cfg).unwrap().run().unwrap();
+            (r.events, r.invariant_checks)
+        };
+        let mut single = ClusterConfig::paper_defaults(1);
+        single.mem_mib = 64;
+        single.wired_mib = 8;
+        single.quantum = SimDur::from_secs(5);
+        single.seed = 0x5EED_600D;
+        single.check_invariants = true;
+        let lu = WorkloadSpec::parallel(Benchmark::LU, Class::A, 1);
+        single.jobs = vec![JobSpec::new("LU.A #1", lu), JobSpec::new("LU.A #2", lu)];
+        assert_eq!(counts(single), (162_230, 372));
+        assert_eq!(counts(parallel_cfg()), (55_692, 28));
+    }
+
     #[test]
     fn different_seeds_still_complete() {
         let mut cfg = tiny_config(PolicyConfig::full(), ScheduleMode::Gang);
@@ -1691,16 +1825,107 @@ mod tests {
         assert!(div.left.is_some() || div.right.is_some());
     }
 
+    /// A generated multi-node config: 2–8 nodes of 64 MiB, two class A
+    /// parallel jobs of 2 up to all the nodes' ranks, gang or batch, a
+    /// paper policy on either baseline, and half the time a fault plan.
+    fn generated_cfg(rng: &mut agp_sim::SimRng) -> ClusterConfig {
+        let nodes = rng.range(2, 9) as u32;
+        let mut cfg = ClusterConfig::paper_defaults(nodes);
+        cfg.mem_mib = 64;
+        cfg.wired_mib = rng.range(0, 33);
+        // Quanta from 50 ms, shorter than a rank's first-touch sweep, so
+        // switches land inside bulk steps' reach.
+        cfg.quantum = SimDur::from_ms(rng.range(50, 2_000));
+        cfg.trace_bucket = SimDur::from_secs(1);
+        cfg.seed = rng.next_u64_raw();
+        cfg.mode = *rng.pick(&[ScheduleMode::Gang, ScheduleMode::Batch]);
+        cfg.policy = *rng.pick(&PolicyConfig::paper_combinations());
+        cfg.policy.baseline = *rng.pick(&[BaselineKind::Clock, BaselineKind::GlobalLru]);
+        cfg.jobs = (1..=2)
+            .map(|i| {
+                let bench =
+                    *rng.pick(&[Benchmark::CG, Benchmark::IS, Benchmark::MG, Benchmark::LU]);
+                let ranks = rng.range(2, u64::from(nodes) + 1) as u32;
+                let w = WorkloadSpec::parallel(bench, Class::A, ranks);
+                JobSpec::new(format!("{bench}.A x{ranks} #{i}"), w)
+            })
+            .collect();
+        if rng.chance(0.5) {
+            let mut plan = FaultPlan::empty(rng.next_u64_raw());
+            let (node, from_us) = (rng.below(u64::from(nodes)) as u32, rng.below(20_000_000));
+            let until_us = from_us + rng.range(1, 60_000_000);
+            plan.faults.push(match rng.below(4) {
+                0 => FaultSpec::DiskErrors {
+                    node,
+                    p: 0.2 * rng.unit_f64(),
+                    from_us,
+                    until_us,
+                },
+                1 => FaultSpec::DiskSlow {
+                    node,
+                    penalty_us: rng.range(1, 50_000),
+                    p: rng.unit_f64(),
+                    from_us,
+                    until_us,
+                },
+                2 => FaultSpec::BarrierDrops {
+                    job: rng.below(2) as u32,
+                    p: 0.5 * rng.unit_f64(),
+                    from_us,
+                    until_us,
+                },
+                _ => FaultSpec::MemPressure {
+                    node,
+                    at_us: from_us,
+                    pages: rng.range(1, 4096),
+                },
+            });
+            cfg.faults = Some(plan);
+        }
+        cfg
+    }
+
+    /// Neither the bulk first touch nor observation changes a run: the
+    /// unobserved run (bulk steps under the lookahead bound unless the
+    /// config has a fault plan), the observed run and the
+    /// invariant-checked run (both the one-page path) of a generated
+    /// config return equal results in every field but the sweep count,
+    /// or the same error.
     #[test]
     fn observer_does_not_perturb_the_simulation() {
-        let plain = ClusterSim::new(tiny_config(PolicyConfig::full(), ScheduleMode::Gang))
-            .unwrap()
-            .run()
-            .unwrap();
-        let (observed, _) = run_traced(tiny_config(PolicyConfig::full(), ScheduleMode::Gang));
-        assert_eq!(plain.makespan, observed.makespan);
-        assert_eq!(plain.events, observed.events);
-        assert_eq!(plain.total_pages_in(), observed.total_pages_in());
+        agp_sim::prop::check("observer_does_not_perturb_the_simulation", 16, |rng| {
+            let cfg = generated_cfg(rng);
+            let plain = ClusterSim::new(cfg.clone()).and_then(ClusterSim::run);
+            let observed = crate::run_observed(
+                cfg.clone(),
+                &agp_obs::ObsLink::to(agp_obs::shared(agp_obs::Collector::new())),
+            );
+            let checked = ClusterSim::new(ClusterConfig {
+                check_invariants: true,
+                ..cfg
+            })
+            .and_then(ClusterSim::run)
+            .map(|r| RunResult {
+                invariant_checks: 0,
+                ..r
+            });
+            match (plain, observed, checked) {
+                (Ok(a), Ok(b), Ok(c)) => {
+                    assert!(a == b, "observed run differs");
+                    assert!(a == c, "checked run differs");
+                }
+                (Err(a), Err(b), Err(c)) => {
+                    assert_eq!(a.to_string(), b.to_string());
+                    assert_eq!(a.to_string(), c.to_string());
+                }
+                (a, b, c) => panic!(
+                    "outcomes differ: {:?}, {:?}, {:?}",
+                    a.err(),
+                    b.err(),
+                    c.err()
+                ),
+            }
+        });
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::recorder::PageRecorder;
 use agp_disk::{extents_from_blocks, Extent};
 use agp_mem::{Kernel, MapInOutcome, MemError, PageNum, ProcId};
 use agp_obs::{ObsEvent, ObsLink};
-use agp_sim::SimTime;
+use agp_sim::{SimDur, SimTime};
 use std::collections::BTreeMap;
 
 /// Disk work produced by a switch-time operation: writes are submitted
@@ -68,7 +68,7 @@ impl FaultPlan {
 
 /// Cumulative engine statistics; the experiment layer aggregates these
 /// across nodes.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Faults that required a swap-in read.
     pub major_faults: u64,
@@ -384,6 +384,29 @@ impl PagingEngine {
             }
         }
         Ok(plan)
+    }
+
+    /// The zero fills of a first-touch sweep in one step: up to `max` of
+    /// the one-page faults that follow the zero fill of `page` at `now`,
+    /// one per `step`, each a minor fault (see
+    /// [`Kernel::first_touch_run`] for the pages it covers and where it
+    /// stops). None of them reclaims, so none needs the fault path.
+    /// Returns how many pages it mapped.
+    // The kernel's six inputs pass through, plus the kernel itself.
+    #[allow(clippy::too_many_arguments)]
+    pub fn first_touch_run(
+        &mut self,
+        kern: &mut Kernel,
+        pid: ProcId,
+        page: PageNum,
+        max: usize,
+        write: bool,
+        now: SimTime,
+        step: SimDur,
+    ) -> Result<usize, MemError> {
+        let m = kern.first_touch_run(pid, page, max, write, now, step)?;
+        self.stats.minor_faults += m as u64;
+        Ok(m)
     }
 
     // ------------------------------------------------------------------

@@ -124,7 +124,7 @@ fn engine_preserves_invariants() {
                     let page = rng.below(256) as u32;
                     let pg = PageNum(page % PAGES);
                     // Touch; fault through the engine if non-resident.
-                    match k.touch(pid, pg, page % 3 == 0, now).unwrap() {
+                    match k.touch(pid, pg, page.is_multiple_of(3), now).unwrap() {
                         agp_mem::TouchOutcome::Hit => {}
                         _ => {
                             let plan = e.on_fault(&mut k, pid, pg, now).unwrap();

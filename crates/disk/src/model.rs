@@ -108,7 +108,7 @@ impl DiskRequest {
 }
 
 /// Cumulative device statistics, used by the metrics layer.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DiskStats {
     /// Completed read requests.
     pub read_requests: u64,

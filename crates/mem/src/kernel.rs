@@ -7,7 +7,7 @@ use crate::swap::SwapSpace;
 use crate::types::{MemError, PageNum, ProcId, VmParams};
 use agp_disk::Extent;
 use agp_obs::{ObsEvent, ObsLink};
-use agp_sim::SimTime;
+use agp_sim::{SimDur, SimTime};
 use std::collections::BTreeMap;
 
 /// Result of touching a page.
@@ -372,6 +372,65 @@ impl Kernel {
             major: outcome != TouchOutcome::NeedsZeroFill,
         });
         Ok((hits, Some(outcome)))
+    }
+
+    /// Frames a bulk first touch may take: those above
+    /// `max(freepages.min, 1)`. A fill below that floor is one that would
+    /// reclaim first, or fail with [`MemError::OutOfFrames`].
+    pub fn first_touch_room(&self) -> usize {
+        self.free.saturating_sub(self.params.freepages_min.max(1))
+    }
+
+    /// The first-touch sweep of `pid`'s touch step in one call. Page
+    /// `first` (A) is resident, just zero-filled at `now`; the one-page
+    /// path would next run, for j = 1, 2, …, a [`Kernel::touch_run`] of
+    /// A+j−1 at `now + (j−1)·step` that faults on untouched A+j, then a
+    /// [`Kernel::map_in`] of A+j at `now + j·step`. This applies the
+    /// first `m` of those pairs, `m` at most `max`, stopping before a
+    /// page that is resident or holds a swap block and before a fill
+    /// that would leave fewer free frames than
+    /// [`Kernel::first_touch_room`] allows. It emits none of the `m`
+    /// minor [`ObsEvent::PageFault`]s the touch runs would, so a caller
+    /// with an observer attached takes the one-page path. Returns `m`; 0
+    /// when A is not resident.
+    pub fn first_touch_run(
+        &mut self,
+        pid: ProcId,
+        first: PageNum,
+        max: usize,
+        write: bool,
+        now: SimTime,
+        step: SimDur,
+    ) -> Result<usize, MemError> {
+        debug_assert!(!self.obs.enabled(), "bulk first touch under an observer");
+        let room = self.first_touch_room();
+        let Kernel {
+            procs,
+            swap,
+            swap_owner,
+            free,
+            ..
+        } = self;
+        let pm = procs.get_mut(&pid).ok_or(MemError::NoSuchProc(pid))?;
+        let next = first.idx() + 1;
+        if next > pm.pt.len() {
+            return Err(MemError::BadPage(pid, first));
+        }
+        let max = max.min(room).min(pm.pt.len() - next);
+        if max == 0 || !pm.pt.is_resident(first) {
+            return Ok(0);
+        }
+        let m = pm.pt.untouched_prefix(PageNum(next as u32), max);
+        if m == 0 {
+            return Ok(0);
+        }
+        let fresh = pm.pt.first_touch(first, m, now, step, write, |b| {
+            swap_owner.remove(b);
+            swap.free_block(b);
+        });
+        pm.wss_current += m + fresh;
+        *free -= m;
+        Ok(m)
     }
 
     /// Map page `p` of `pid` into a free frame at `now`.
@@ -777,6 +836,84 @@ mod tests {
             readahead: 16,
         };
         Kernel::new(params, 4096)
+    }
+
+    /// Process 1 with 16 pages, page 0 zero-filled at `T`: where a
+    /// first-touch sweep starts.
+    fn swept(frames: usize) -> Kernel {
+        let mut k = kernel(frames);
+        k.register_proc(ProcId(1), 16);
+        k.map_in(ProcId(1), PageNum(0), T).unwrap();
+        k
+    }
+
+    const C: SimDur = SimDur::from_us(5);
+
+    #[test]
+    fn first_touch_run_maps_an_age_ramp_up_to_max() {
+        let mut k = swept(64);
+        let m = k.first_touch_run(ProcId(1), PageNum(0), 3, true, T, C);
+        assert_eq!(m, Ok(3));
+        let pm = k.proc(ProcId(1)).unwrap();
+        for p in 0..=3 {
+            assert_eq!(pm.pt.last_ref(PageNum(p)), Some(T + C * u64::from(p)));
+        }
+        assert!(pm.pt.is_dirty(PageNum(2)) && !pm.pt.is_dirty(PageNum(3)));
+        assert_eq!(pm.pt.state(PageNum(4)), PageState::Untouched);
+        assert_eq!(
+            (pm.rss(), pm.pt.dirty_resident(), pm.wss_current()),
+            (4, 3, 4)
+        );
+        assert_eq!(k.free_frames(), 60);
+        k.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn first_touch_run_stops_before_a_resident_page() {
+        let mut k = swept(64);
+        k.map_in(ProcId(1), PageNum(5), T).unwrap();
+        assert_eq!(
+            k.first_touch_run(ProcId(1), PageNum(0), 16, false, T, C),
+            Ok(4)
+        );
+        // From page 5, the table's end stops it.
+        assert_eq!(
+            k.first_touch_run(ProcId(1), PageNum(5), 16, false, T, C),
+            Ok(10)
+        );
+        k.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn first_touch_run_stops_before_a_swapped_page() {
+        let mut k = swept(64);
+        let pid = ProcId(1);
+        k.map_in(pid, PageNum(3), T).unwrap();
+        k.touch(pid, PageNum(3), true, T).unwrap();
+        k.evict(pid, PageNum(3)).unwrap();
+        assert_eq!(k.first_touch_run(pid, PageNum(0), 16, true, T, C), Ok(2));
+        assert!(matches!(
+            k.proc(pid).unwrap().pt.state(PageNum(3)),
+            PageState::Swapped { .. }
+        ));
+        k.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn first_touch_run_keeps_the_frame_floor() {
+        // 10 frames, freepages.min 4: 9 are free after page 0, so five
+        // fills reach the floor and a sixth would reclaim.
+        let mut k = swept(10);
+        assert_eq!(
+            k.first_touch_run(ProcId(1), PageNum(0), 16, false, T, C),
+            Ok(5)
+        );
+        assert_eq!(k.free_frames(), 4);
+        assert_eq!(
+            k.first_touch_run(ProcId(1), PageNum(5), 16, false, T, C),
+            Ok(0)
+        );
+        assert!(!k.below_min());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! that wants the whole picture.
 
 use crate::types::PageNum;
-use agp_sim::SimTime;
+use agp_sim::{SimDur, SimTime};
 
 /// Metadata for a page currently held in a physical frame.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -94,6 +94,23 @@ pub(crate) fn word_spans(lo: usize, hi: usize) -> impl Iterator<Item = (usize, u
         let base = w * 64;
         (w, mask(lo.max(base) - base, hi.min(base + 64) - base))
     })
+}
+
+/// Length of the run of pages from `first`, at most `max`, whose bit in
+/// `bits` equals `set`. Scans a word at a time.
+fn bit_run(bits: &[u64], set: bool, first: usize, max: usize) -> usize {
+    let end = first + max;
+    let mut i = first;
+    while i < end {
+        let off = i % 64;
+        let word = if set { !bits[i / 64] } else { bits[i / 64] };
+        let run = ((word >> off).trailing_zeros() as usize).min(64 - off);
+        i += run;
+        if run < 64 - off {
+            break;
+        }
+    }
+    i.min(end) - first
 }
 
 /// Page numbers of the set bits of word `w`, ascending.
@@ -265,17 +282,19 @@ impl PageTable {
     /// Length of the run of resident pages starting at `first`, at most
     /// `max`. Scans a word at a time.
     pub(crate) fn resident_prefix(&self, first: PageNum, max: usize) -> usize {
-        let end = first.idx() + max;
-        let mut i = first.idx();
-        while i < end {
-            let off = i % 64;
-            let run = ((!self.present[i / 64] >> off).trailing_zeros() as usize).min(64 - off);
-            i += run;
-            if run < 64 - off {
-                break;
-            }
-        }
-        i.min(end) - first.idx()
+        bit_run(&self.present, true, first.idx(), max)
+    }
+
+    /// Length of the run of untouched pages (not resident, no swap block)
+    /// starting at `first`, at most `max`: the residency bits a word at a
+    /// time, then the block slots of the non-resident prefix.
+    pub(crate) fn untouched_prefix(&self, first: PageNum, max: usize) -> usize {
+        let lo = first.idx();
+        let absent = bit_run(&self.present, false, lo, max);
+        self.block[lo..lo + absent]
+            .iter()
+            .position(|&s| s != NO_BLOCK)
+            .unwrap_or(absent)
     }
 
     /// Touch the `len` pages from `first`, all of which must be resident:
@@ -327,6 +346,65 @@ impl PageTable {
         self.last_ref[p.idx()] = now;
         self.resident += 1;
         self.block(p)
+    }
+
+    /// `m` one-page first touches from resident page `first` (A) in one
+    /// pass. Touch j, for j in 1..=m, touches A+j−1 at `now + (j−1)·step`
+    /// and maps untouched page A+j at `now + j·step`, and the table ends
+    /// as `touch_resident(A+j−1, 1, ..)` then `map_in(A+j, ..)` per page
+    /// would leave it: the age ramp, the residency bits of A+1..=A+m, the
+    /// reference and epoch bits of A..=A+m, and on a `write` the dirty
+    /// bits of A..A+m. `stale` receives A's swap copy if the write makes
+    /// it stale. Returns how many touched pages were new to the epoch.
+    pub(crate) fn first_touch(
+        &mut self,
+        first: PageNum,
+        m: usize,
+        now: SimTime,
+        step: SimDur,
+        write: bool,
+        mut stale: impl FnMut(u64),
+    ) -> usize {
+        let (a, last) = (first.idx(), first.idx() + m);
+        debug_assert!(m > 0, "first touch of no pages");
+        debug_assert!(
+            self.is_resident(first),
+            "first touch from a non-resident page"
+        );
+        debug_assert!(
+            self.block[a + 1..=last].iter().all(|&s| s == NO_BLOCK),
+            "first touch maps a page with a swap block"
+        );
+        // A is the one touched page not mapped here, so the only one that
+        // can be new to the epoch, dirty already, or hold a swap copy.
+        let fresh = usize::from(!Self::bit(&self.seen, a));
+        if write && self.is_dirty(first) {
+            self.dirty_resident += m - 1;
+        } else if write {
+            self.dirty_resident += m;
+            if let Some(block) = slot_block(std::mem::replace(&mut self.block[a], NO_BLOCK)) {
+                stale(block);
+            }
+        }
+        for (j, age) in (0u64..).zip(&mut self.last_ref[a..=last]) {
+            *age = now + step * j;
+        }
+        for (w, span) in word_spans(a, last + 1) {
+            let bit = |i: usize| if i / 64 == w { 1u64 << (i % 64) } else { 0 };
+            debug_assert_eq!(
+                self.present[w] & span & !bit(a),
+                0,
+                "first touch of a resident page"
+            );
+            self.present[w] |= span & !bit(a);
+            self.referenced[w] |= span;
+            self.seen[w] |= span;
+            if write {
+                self.dirty[w] |= span & !bit(last);
+            }
+        }
+        self.resident += m;
+        fresh
     }
 
     /// Start a new working-set epoch: no page has been touched in it yet.

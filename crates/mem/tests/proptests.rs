@@ -1,6 +1,7 @@
 //! Property tests for the VM substrate: the kernel's conservation
 //! invariants must survive arbitrary interleavings of fault, touch,
-//! evict, clean, and process-exit operations, the page table must agree
+//! evict, clean, and process-exit operations, the bulk first touch must
+//! equal the one-page faults it replaces, the page table must agree
 //! with a reference `Vec<PageState>` model, and the swap allocator must
 //! never lose or double-allocate a block and must match the reference
 //! extent allocator.
@@ -11,9 +12,11 @@
 mod model;
 
 use agp_disk::Extent;
-use agp_mem::{Kernel, MemError, PageNum, ProcId, SwapSpace, VmParams};
+use agp_mem::{
+    Kernel, MapInOutcome, MemError, PageNum, PageState, ProcId, SwapSpace, TouchOutcome, VmParams,
+};
 use agp_sim::prop;
-use agp_sim::{SimRng, SimTime};
+use agp_sim::{SimDur, SimRng, SimTime};
 use model::extents::{check_swap_ops, release, SwapOp, DEVICES};
 
 /// Cases of each kernel and model property.
@@ -168,6 +171,125 @@ fn touch_run_equals_touch_loop() {
         );
         k1.check_invariants().unwrap();
         k2.check_invariants().unwrap();
+    });
+}
+
+/// Pages of process 0 in the first-touch property: several words, so
+/// runs cross word edges.
+const FT_PAGES: u32 = 200;
+
+/// A kernel for the first-touch property. Process 0's table holds runs
+/// of 1..=24 untouched, resident (clean, dirty, or clean with a swap
+/// copy) and swapped pages, page `a` resident; half the time a new
+/// epoch starts after the set-up. Then, half the time, process 1's pages
+/// cut the free frames to a draw from 0..=freepages.min + 8.
+fn first_touch_kernel(rng: &mut SimRng, a: u32) -> Kernel {
+    let min = rng.below(8) as usize;
+    let frames = 3 * FT_PAGES as usize;
+    let mut k = Kernel::new(
+        VmParams {
+            total_frames: frames,
+            wired_frames: 16,
+            freepages_min: min,
+            freepages_high: min + 4,
+            readahead: 16,
+        },
+        4096,
+    );
+    let (pid, filler) = (ProcId(0), ProcId(1));
+    k.register_proc(pid, FT_PAGES as usize);
+    k.register_proc(filler, frames);
+    let t = SimTime::from_us(1);
+    let mut first = 0;
+    while first < FT_PAGES {
+        let run = rng.range(1, 25) as u32;
+        let kind = rng.below(8).saturating_sub(2);
+        for p in (first..first + run).take_while(|&p| p < FT_PAGES) {
+            let pg = PageNum(p);
+            // 0, 1: untouched (half the runs); 2: clean; 3: dirty; 4:
+            // clean with a copy; 5: swapped. Page `a` stays resident.
+            let kind = if p == a { 2 + rng.below(3) } else { kind };
+            if kind < 2 {
+                continue;
+            }
+            k.map_in(pid, pg, t).unwrap();
+            k.touch(pid, pg, kind > 2, t).unwrap();
+            if kind == 4 {
+                k.clean_batch(pid, &[pg]).unwrap();
+            } else if kind == 5 {
+                k.evict(pid, pg).unwrap();
+            }
+        }
+        first += run;
+    }
+    if rng.chance(0.5) {
+        k.quantum_started(pid).unwrap();
+    }
+    let target = if rng.chance(0.5) {
+        rng.below(min as u64 + 9) as usize
+    } else {
+        frames
+    };
+    for p in 0..frames as u32 {
+        if k.free_frames() <= target {
+            break;
+        }
+        k.map_in(filler, PageNum(p), t).unwrap();
+    }
+    k
+}
+
+/// The bulk first touch equals the one-page path it replaces: for j in
+/// 1..=m, a two-page touch run from A+j−1 at `t + (j−1)·c` that faults
+/// on untouched A+j, then the map-in of A+j at `t + j·c`, with the stops
+/// spelt out page by page (the table's end, a page that is not
+/// untouched, a fill that would leave fewer than max(freepages.min, 1)
+/// free frames, `max`). Both end with the same m, page states, counters
+/// and free frames, and pass the invariant check.
+#[test]
+fn first_touch_run_equals_one_page_path() {
+    prop::check("first_touch_run_equals_one_page_path", prop::CASES, |rng| {
+        let a = rng.below(FT_PAGES as u64) as u32;
+        let mut bulk = first_touch_kernel(rng, a);
+        let mut one = bulk.clone();
+        let (max, write) = (rng.below(FT_PAGES as u64 + 8) as usize, rng.chance(0.5));
+        let t = SimTime::from_us(rng.range(100, 10_000));
+        let c = SimDur::from_us(rng.range(1, 100));
+        let pid = ProcId(0);
+
+        let m = bulk
+            .first_touch_run(pid, PageNum(a), max, write, t, c)
+            .unwrap();
+        let floor = one.params().freepages_min.max(1);
+        let mut m_one = 0;
+        for j in (1..=max as u32).take_while(|&j| a + j < FT_PAGES) {
+            let next = PageNum(a + j);
+            if one.free_frames() <= floor
+                || one.proc(pid).unwrap().pt.state(next) != PageState::Untouched
+            {
+                break;
+            }
+            let at = t + c * u64::from(j - 1);
+            assert_eq!(
+                one.touch_run(pid, PageNum(a + j - 1), 2, write, at)
+                    .unwrap(),
+                (1, Some(TouchOutcome::NeedsZeroFill))
+            );
+            assert_eq!(one.map_in(pid, next, at + c).unwrap(), MapInOutcome::Zeroed);
+            m_one += 1;
+        }
+
+        assert_eq!(m, m_one, "pages mapped");
+        let (pb, po) = (bulk.proc(pid).unwrap(), one.proc(pid).unwrap());
+        for p in 0..FT_PAGES {
+            assert_eq!(pb.pt.state(PageNum(p)), po.pt.state(PageNum(p)), "page {p}");
+        }
+        assert_eq!(pb.rss(), po.rss());
+        assert_eq!(pb.pt.dirty_resident(), po.pt.dirty_resident());
+        assert_eq!(pb.wss_current(), po.wss_current());
+        assert_eq!(bulk.free_frames(), one.free_frames());
+        bulk.check_invariants().unwrap();
+        one.check_invariants().unwrap();
     });
 }
 

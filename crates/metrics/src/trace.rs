@@ -11,7 +11,7 @@ use crate::json::Json;
 use agp_sim::{SimDur, SimTime};
 
 /// One node's paging activity, bucketed by wall-clock simulation time.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ActivityTrace {
     bucket: SimDur,
     pages_in: Vec<u64>,

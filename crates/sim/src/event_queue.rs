@@ -117,6 +117,11 @@ impl<E> EventQueue<E> {
         self.heap.peek().map(|e| e.at)
     }
 
+    /// Every pending event with its timestamp, in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = (SimTime, &E)> + '_ {
+        self.heap.iter().map(|e| (e.at, &e.event))
+    }
+
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -205,6 +210,10 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(SimTime::from_secs(2) + SimDur::from_ms(1), 42);
         assert_eq!(q.peek_time(), Some(SimTime::from_us(2_001_000)));
+        assert_eq!(
+            q.iter().collect::<Vec<_>>(),
+            [(SimTime::from_us(2_001_000), &42)]
+        );
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
         q.clear();

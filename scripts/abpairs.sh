@@ -4,6 +4,7 @@
 #
 #   bash scripts/abpairs.sh HEAD~1 .                        # every workload, 5 pairs of 6 s runs
 #   bash scripts/abpairs.sh -n 8 -s 6 main . global_lru     # one workload, 8 pairs
+#   bash scripts/abpairs.sh -S 7 HEAD . resident             # both sides at seed 7
 #
 # REV_A and REV_B are git revisions; `.` is the working tree (tracked
 # and untracked files that git does not ignore). Each side is copied into
@@ -11,7 +12,8 @@
 # own CARGO_TARGET_DIR, so each binary checks its own golden digests.
 # Every round runs each workload once per side through that side's
 # `simbench/run.sh --workload W --trace 0 --seconds SECONDS`, A first in
-# odd rounds and B first in even ones. The summary gives, per workload
+# odd rounds and B first in even ones; with `-S SEED` both sides also get
+# `--seed SEED` (a claim should hold at a seed it was not tuned on). The summary gives, per workload
 # and end-to-end metric of BENCHMARK.json, the median and minimum of
 # each side, the distance between A's quartiles, B/A of the medians, and
 # in how many pairs B was better.
@@ -19,16 +21,18 @@
 set -euo pipefail
 
 usage() {
-    echo "usage: $0 [-n ROUNDS] [-s SECONDS] REV_A REV_B [WORKLOAD...]" >&2
+    echo "usage: $0 [-n ROUNDS] [-s SECONDS] [-S SEED] REV_A REV_B [WORKLOAD...]" >&2
     exit 2
 }
 
 rounds=5
 seconds=6
-while getopts "n:s:" opt; do
+seed_args=()
+while getopts "n:s:S:" opt; do
     case "$opt" in
         n) rounds="$OPTARG" ;;
         s) seconds="$OPTARG" ;;
+        S) seed_args=(--seed "$OPTARG") ;;
         *) usage ;;
     esac
 done
@@ -83,7 +87,7 @@ run() {
     local line
     line="$(CARGO_TARGET_DIR="$tmp/$1/target" \
         bash "$tmp/$1/src/simbench/run.sh" --workload "$2" --trace 0 --seconds "$seconds" \
-        | tail -n 1)"
+        "${seed_args[@]}" | tail -n 1)"
     echo "$line" >> "$tmp/$1.$2.jsonl"
     if ! jq -e '.correct == true' <<< "$line" > /dev/null; then
         echo "abpairs.sh: ${revs[$1]} $2: \"correct\" is not true" >&2
@@ -106,7 +110,7 @@ for ((r = 1; r <= rounds; r++)); do
     done
 done
 
-echo "A = ${revs[0]}, B = ${revs[1]}: $rounds alternating pairs of $seconds s runs"
+echo "A = ${revs[0]}, B = ${revs[1]}: $rounds alternating pairs of $seconds s runs ${seed_args[*]}"
 printf '%-12s %-17s %11s %11s %11s %11s %11s %7s %6s\n' \
     workload metric A_median A_min A_IQR B_median B_min B/A B_wins
 for w in "${workloads[@]}"; do
