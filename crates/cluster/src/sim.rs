@@ -30,7 +30,7 @@ use agp_core::{EngineStats, PagingEngine};
 use agp_disk::{Disk, DiskRequest};
 use agp_faults::{DiskOutcome, FaultInjector, RecoveryPolicy, TimedFault};
 use agp_gang::{GangScheduler, JobId, NodeSet};
-use agp_mem::{Kernel, MemError, PageNum, PageState, ProcId, VmParams};
+use agp_mem::{Kernel, MemError, PageNum, ProcId, VmParams};
 use agp_metrics::ActivityTrace;
 use agp_net::Barrier;
 use agp_obs::{ObsEvent, ObsLink, SwitchPhaseKind, SRC_CLUSTER};
@@ -792,7 +792,7 @@ impl ClusterSim {
             .proc(pid)
             .map_err(mem_err("first_touch_run", ni, t))?
             .pt;
-        if max == 0 || next.idx() >= pt.len() || pt.state(next) != PageState::Untouched {
+        if max == 0 || next.idx() >= pt.len() || !pt.is_untouched(next) {
             return Ok(0);
         }
         if let Some(bound) = self.lookahead_bound(ni) {

@@ -8,9 +8,12 @@
 //! The writer scans with a **cyclic cursor** over the address space (the
 //! shape of the kernel's own bdflush scan): each tick sweeps a bounded
 //! window forward from where the last tick stopped, collecting dirty
-//! pages. For the sweep-structured NPB codes this tends to clean pages
-//! *behind* the application's own write sweep — pages that will not be
-//! re-dirtied until the sweep wraps around — which is how the
+//! pages. The cursor lasts one activation: [`BgWriter::stop`], called at
+//! every job switch, forgets the process, so each quantum's window
+//! starts again at page 0, even for the process the last window served.
+//! For the sweep-structured NPB codes the writer still tends to clean
+//! pages *behind* the application's own write sweep — pages that will not
+//! be re-dirtied until the sweep wraps around — which is how the
 //! implementation limits the "writing of same pages repeatedly" the paper
 //! warns about. The window length (10 % of the quantum) is the paper's
 //! empirical compromise and is exercised by the `bgwrite_ablation` bench.
@@ -73,8 +76,9 @@ impl BgWriter {
     }
 
     /// `start_bgwrite(inpid)` from the paper's API (§3.5). The scan cursor
-    /// persists across activations so successive windows continue around
-    /// the address space instead of re-cleaning the same prefix.
+    /// keeps its place only while the writer is already active for `pid`;
+    /// otherwise, which includes every start after a [`BgWriter::stop`],
+    /// it starts at page 0.
     pub fn start(&mut self, pid: ProcId) {
         if self.active != Some(pid) {
             self.hand = 0;
@@ -120,7 +124,7 @@ impl BgWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use agp_mem::{PageNum, VmParams};
+    use agp_mem::{PageNum, PageState, VmParams};
     use agp_sim::SimTime;
 
     fn kernel_with_dirty(pid: ProcId, n: u32) -> Kernel {
@@ -195,21 +199,26 @@ mod tests {
     }
 
     #[test]
-    fn cursor_survives_restart_for_same_proc() {
+    fn cursor_restarts_at_page_zero_after_a_stop() {
         let pid = ProcId(1);
         let mut k = kernel_with_dirty(pid, 100);
         let mut bg = BgWriter::new(30);
         bg.start(pid);
         bg.tick(&mut k).unwrap(); // cleans 0..30
-        bg.stop();
-        bg.start(pid); // same process: cursor keeps going
+        bg.start(pid); // still active: the cursor keeps its place
         bg.tick(&mut k).unwrap(); // cleans 30..60
         assert_eq!(k.proc(pid).unwrap().pt.dirty_resident(), 40);
-        bg.start(ProcId(2)); // different process: cursor resets
-        bg.stop();
+        // Re-dirty 0..30, so a cursor back at page 0 has them to clean.
+        k.touch_run(pid, PageNum(0), 30, true, SimTime::from_us(200))
+            .unwrap();
+        bg.stop(); // every switch stops the writer
         bg.start(pid);
-        bg.tick(&mut k).unwrap(); // back at 0, but 0..60 clean; cleans 60..90
-        assert_eq!(k.proc(pid).unwrap().pt.dirty_resident(), 10);
+        bg.tick(&mut k).unwrap(); // back at 0: cleans 0..30, not 60..90
+        let pt = &k.proc(pid).unwrap().pt;
+        let dirty = |p: u32| matches!(pt.state(PageNum(p)), PageState::Resident(r) if r.dirty);
+        assert!((0..60).all(|p| !dirty(p)), "the prefix is clean again");
+        assert!((60..100).all(dirty), "60..90 is left for a later tick");
+        assert_eq!(pt.dirty_resident(), 40);
     }
 
     #[test]

@@ -664,12 +664,10 @@ impl PagingEngine {
         let Some(rec) = self.recorders.get_mut(&inn) else {
             return Ok(plan);
         };
-        let pages = rec.drain_pages();
-        if pages.is_empty() {
+        let runs = rec.take_runs();
+        if runs.is_empty() {
             return Ok(plan);
         }
-        let replayed_before = self.stats.replayed_pages;
-        let skipped_before = self.stats.replay_skipped;
         // The record's size is known up front — that is the "adaptive"
         // part — so room for the whole set is made in one aggregate
         // reclaim instead of per induced fault. (Replaying with per-fault
@@ -679,48 +677,41 @@ impl PagingEngine {
         let needed = kern
             .proc(inn)
             .map_or(0, |pm| {
-                pages.iter().filter(|&&p| !pm.pt.is_resident(p)).count()
+                runs.iter()
+                    .map(|r| pm.pt.absent(r.base, r.count as usize))
+                    .sum()
             })
             .min(kern.params().usable_frames());
         // Leave freepages.high of slack above the set being replayed, as
         // aggressive page-out does: ending the replay exactly at the
         // reclaim trigger would hand the clock the incoming process as
         // its next victim on the first post-replay allocation.
-        let want_free = (needed + kern.params().freepages_high).min(kern.params().usable_frames());
+        let high = kern.params().freepages_high;
+        let want_free = (needed + high).min(kern.params().usable_frames());
         let shortfall = want_free.saturating_sub(kern.free_frames());
         if shortfall > 0 {
             plan.writes = self.free_pages_inner(kern, shortfall, now, true)?;
         }
+        // Pages already back (e.g. a duplicate record) are skipped, and so
+        // is the rest of the set once reclaim could not make full room
+        // (everything else is hot): it comes back via demand faults.
         let mut blocks = Vec::new();
-        for p in pages {
-            if kern.proc(inn)?.pt.is_resident(p) {
-                // Already back (e.g. duplicate record); nothing to do.
-                self.stats.replay_skipped += 1;
-                continue;
-            }
-            if kern.free_frames() <= kern.params().freepages_high {
-                // Reclaim could not make full room (everything else is
-                // hot); the rest of the set comes back via demand faults.
-                self.stats.replay_skipped += 1;
-                continue;
-            }
-            match kern.map_in(inn, p, now)? {
-                MapInOutcome::Read { block } => blocks.push(block),
-                MapInOutcome::Zeroed => {}
-            }
-            self.stats.replayed_pages += 1;
-            if self.obs.enabled() {
-                self.obs.emit(now, || ObsEvent::ReplayPage {
-                    pid: inn.0,
-                    page: p.0,
-                });
-            }
-        }
+        let obs = &self.obs;
+        let record = runs.iter().map(|r| (r.base, r.count as usize));
+        let (replayed, skipped) = kern.replay(inn, record, high, now, |p, block| {
+            blocks.extend(block);
+            obs.emit(now, || ObsEvent::ReplayPage {
+                pid: inn.0,
+                page: p.0,
+            });
+        })?;
+        self.stats.replayed_pages += replayed as u64;
+        self.stats.replay_skipped += skipped as u64;
         plan.reads = extents_from_blocks(&mut blocks);
         self.obs.emit(now, || ObsEvent::Replay {
             pid: inn.0,
-            pages: self.stats.replayed_pages - replayed_before,
-            skipped: self.stats.replay_skipped - skipped_before,
+            pages: replayed as u64,
+            skipped: skipped as u64,
         });
         Ok(plan)
     }

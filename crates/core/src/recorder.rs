@@ -87,14 +87,12 @@ impl PageRecorder {
         self.runs.len() * 12
     }
 
-    /// Drain the record, yielding every page in recorded order (the replay
-    /// order of the induced faults in Fig. 4) and leaving the recorder
-    /// empty.
-    pub fn drain_pages(&mut self) -> Vec<PageNum> {
-        let out: Vec<PageNum> = self.runs.iter().flat_map(|r| r.pages()).collect();
-        self.runs.clear();
+    /// Drain the record, yielding its runs in recorded order (their pages
+    /// in turn are the replay order of the induced faults in Fig. 4) and
+    /// leaving the recorder empty.
+    pub fn take_runs(&mut self) -> Vec<PageRun> {
         self.total = 0;
-        out
+        std::mem::take(&mut self.runs)
     }
 
     /// Clear without draining (e.g. when a process exits).
@@ -214,7 +212,9 @@ mod tests {
     fn drain_replays_in_recorded_order() {
         let mut r = PageRecorder::new();
         r.record_all(&[pg(10), pg(11), pg(2), pg(3), pg(4)]);
-        assert_eq!(r.drain_pages(), vec![pg(10), pg(11), pg(2), pg(3), pg(4)]);
+        let runs = r.take_runs();
+        let pages: Vec<PageNum> = runs.iter().flat_map(|r| r.pages()).collect();
+        assert_eq!(pages, vec![pg(10), pg(11), pg(2), pg(3), pg(4)]);
         assert!(r.is_empty());
         assert_eq!(r.total_pages(), 0);
     }
@@ -246,7 +246,7 @@ mod tests {
         assert!(r.check_coherence().is_ok(), "empty recorder is coherent");
         r.record_all(&[pg(5), pg(6), pg(10), pg(1), pg(1), pg(2)]);
         assert!(r.check_coherence().is_ok());
-        r.drain_pages();
+        r.take_runs();
         assert!(r.check_coherence().is_ok());
     }
 

@@ -8,7 +8,7 @@ use agp_mem::{Kernel, PageNum, ProcId, VmParams};
 use agp_sim::prop::{self, CASES};
 use agp_sim::SimTime;
 
-/// drain_pages() returns exactly the recorded sequence, in order, for
+/// take_runs() returns exactly the recorded sequence, in order, for
 /// any flush order, and the run-length compression never exceeds one
 /// node per page.
 #[test]
@@ -22,7 +22,8 @@ fn recorder_roundtrip() {
         assert_eq!(r.total_pages(), pages.len() as u64);
         assert!(r.runs().len() <= pages.len().max(1));
         assert_eq!(r.kernel_bytes(), r.runs().len() * 12);
-        let drained: Vec<u32> = r.drain_pages().into_iter().map(|p| p.0).collect();
+        let runs = r.take_runs();
+        let drained: Vec<u32> = runs.iter().flat_map(|r| r.pages()).map(|p| p.0).collect();
         assert_eq!(drained, pages);
         assert!(r.is_empty());
     });
@@ -44,7 +45,7 @@ fn recorder_coherence_is_invariant() {
             r.check_coherence()
                 .unwrap_or_else(|e| panic!("after record {i}: {e}"));
             if Some(i) == drain_at || rng.chance(0.02) {
-                r.drain_pages();
+                r.take_runs();
                 r.check_coherence()
                     .unwrap_or_else(|e| panic!("after drain at {i}: {e}"));
             }

@@ -2,13 +2,14 @@
 //! the mechanism API that paging *policies* (in `agp-core`) are written
 //! against.
 
-use crate::ptable::{PageState, PageTable};
+use crate::ptable::{low_bits, pages_of, word_masks, PageState, PageTable};
 use crate::swap::SwapSpace;
 use crate::types::{MemError, PageNum, ProcId, VmParams};
 use agp_disk::Extent;
 use agp_obs::{ObsEvent, ObsLink};
 use agp_sim::{SimDur, SimTime};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Result of touching a page.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -137,31 +138,81 @@ impl SwapOwners {
         (b / CHUNK, b % CHUNK)
     }
 
+    /// Chunk index and offsets of every chunk slice covering the `len`
+    /// blocks from `first`, in block order.
+    fn slices(first: u64, len: usize) -> impl Iterator<Item = (usize, Range<usize>)> {
+        let (lo, hi) = (first as usize, first as usize + len);
+        (lo / CHUNK..hi.div_ceil(CHUNK)).map(move |c| {
+            let base = c * CHUNK;
+            (c, lo.max(base) - base..hi.min(base + CHUNK) - base)
+        })
+    }
+
     fn get(&self, block: u64) -> Option<(ProcId, PageNum)> {
         let (c, i) = Self::at(block);
         self.chunks.get(c)?.as_ref()?[i].get()
     }
 
-    fn insert(&mut self, block: u64, owner: (ProcId, PageNum)) {
-        let (c, i) = Self::at(block);
-        if c >= self.chunks.len() {
-            self.chunks.resize_with(c + 1, || None);
-        }
-        let chunk = self.chunks[c].get_or_insert_with(|| Box::new([Owner::NONE; CHUNK]));
-        let entry = Owner::new(owner);
-        debug_assert_ne!(entry, Owner::NONE, "owner packs to the empty entry");
-        if std::mem::replace(&mut chunk[i], entry) == Owner::NONE {
-            self.len += 1;
+    /// Make `owners`, `len` of them, the owners of the blocks from
+    /// `first` on, in turn, a chunk slice at a time.
+    fn insert_run(
+        &mut self,
+        first: u64,
+        len: usize,
+        owners: impl IntoIterator<Item = (ProcId, PageNum)>,
+    ) {
+        let mut owners = owners.into_iter().map(Owner::new);
+        for (c, range) in Self::slices(first, len) {
+            if c >= self.chunks.len() {
+                self.chunks.resize_with(c + 1, || None);
+            }
+            let chunk = self.chunks[c].get_or_insert_with(|| Box::new([Owner::NONE; CHUNK]));
+            for (entry, owner) in chunk[range].iter_mut().zip(&mut owners) {
+                debug_assert_ne!(owner, Owner::NONE, "owner packs to the empty entry");
+                if std::mem::replace(entry, owner) == Owner::NONE {
+                    self.len += 1;
+                }
+            }
         }
     }
 
-    fn remove(&mut self, block: u64) {
-        let (c, i) = Self::at(block);
-        if let Some(Some(chunk)) = self.chunks.get_mut(c) {
-            if std::mem::replace(&mut chunk[i], Owner::NONE) != Owner::NONE {
-                self.len -= 1;
+    /// Empty the entries of the `len` blocks from `first`.
+    fn remove_run(&mut self, first: u64, len: u64) {
+        for (c, range) in Self::slices(first, len as usize) {
+            let Some(Some(chunk)) = self.chunks.get_mut(c) else {
+                continue;
+            };
+            for entry in &mut chunk[range] {
+                if std::mem::replace(entry, Owner::NONE) != Owner::NONE {
+                    self.len -= 1;
+                }
             }
         }
+    }
+
+    /// How many entries from block `first` on, at most `max`, name
+    /// `owner` and then the pages after it in turn: the same pid, one
+    /// page further each block. Compares a chunk slice at a time, across
+    /// chunk edges.
+    fn run_len(&self, first: u64, owner: (ProcId, PageNum), max: usize) -> usize {
+        // A pid's consecutive pages pack to consecutive entries.
+        let want = Owner::new(owner).0;
+        let mut n = 0;
+        for (c, range) in Self::slices(first, max) {
+            let Some(Some(chunk)) = self.chunks.get(c) else {
+                break;
+            };
+            let slice = &chunk[range];
+            let same = (want + n as u64..)
+                .zip(slice)
+                .take_while(|&(w, entry)| entry.0 == w)
+                .count();
+            n += same;
+            if same < slice.len() {
+                break;
+            }
+        }
+        n
     }
 
     fn iter(&self) -> impl Iterator<Item = (u64, (ProcId, PageNum))> + '_ {
@@ -170,6 +221,56 @@ impl SwapOwners {
             .zip(&self.chunks)
             .filter_map(|(base, chunk)| Some((base, chunk.as_deref()?)))
             .flat_map(|(base, chunk)| (base..).zip(chunk).filter_map(|(b, o)| Some((b, o.get()?))))
+    }
+}
+
+/// The blocks of a fresh allocation ([`SwapSpace::alloc`]), handed out in
+/// block order as runs.
+struct FreshBlocks<'a> {
+    extents: &'a [Extent],
+    /// Blocks handed out, from the start of the allocation.
+    used: u64,
+    /// Extent the next block comes from, and blocks already taken of it.
+    at: usize,
+    taken: u64,
+}
+
+impl<'a> FreshBlocks<'a> {
+    fn new(extents: &'a [Extent]) -> Self {
+        FreshBlocks {
+            extents,
+            used: 0,
+            at: 0,
+            taken: 0,
+        }
+    }
+
+    /// Give the pages `dirty` of word `w` of `pid`'s table, in page
+    /// order, the next blocks, and record each page as its block's owner.
+    /// The allocation holds a block for each.
+    fn write(
+        &mut self,
+        pt: &mut PageTable,
+        owners: &mut SwapOwners,
+        pid: ProcId,
+        w: usize,
+        mut dirty: u64,
+    ) {
+        while dirty != 0 {
+            let e = self.extents[self.at];
+            let len = (e.len - self.taken).min(u64::from(dirty.count_ones()));
+            let first = e.start + self.taken;
+            let run = low_bits(dirty, len as u32);
+            pt.set_blocks(w, run, first);
+            let pages = pages_of(w, run).map(|i| (pid, PageNum(i as u32)));
+            owners.insert_run(first, len as usize, pages);
+            dirty &= !run;
+            self.used += len;
+            self.taken += len;
+            if self.taken == e.len {
+                (self.at, self.taken) = (self.at + 1, 0);
+            }
+        }
     }
 }
 
@@ -254,10 +355,10 @@ impl Kernel {
     pub fn unregister_proc(&mut self, pid: ProcId) -> Result<(), MemError> {
         let pm = self.procs.remove(&pid).ok_or(MemError::NoSuchProc(pid))?;
         self.free += pm.pt.resident();
-        for b in (0..pm.pt.len()).filter_map(|i| pm.pt.block(PageNum(i as u32))) {
-            self.swap.free_block(b);
-            self.swap_owner.remove(b);
-        }
+        pm.pt.block_runs(|first, len| {
+            self.swap.free_extent(Extent::new(first, len));
+            self.swap_owner.remove_run(first, len);
+        });
         Ok(())
     }
 
@@ -353,9 +454,9 @@ impl Kernel {
             // A write makes any swap copy stale; drop it (the Linux swap
             // cache frees the entry on write), so the invariant "dirty ⟹
             // no swap copy" holds.
-            pm.wss_current += pm.pt.touch_resident(first, hits, now, write, |b| {
-                swap_owner.remove(b);
-                swap.free_block(b);
+            pm.wss_current += pm.pt.touch_resident(first, hits, now, write, |b, n| {
+                swap_owner.remove_run(b, n);
+                swap.free_extent(Extent::new(b, n));
             });
         }
         if hits == max {
@@ -424,9 +525,9 @@ impl Kernel {
         if m == 0 {
             return Ok(0);
         }
-        let fresh = pm.pt.first_touch(first, m, now, step, write, |b| {
-            swap_owner.remove(b);
-            swap.free_block(b);
+        let fresh = pm.pt.first_touch(first, m, now, step, write, |b, n| {
+            swap_owner.remove_run(b, n);
+            swap.free_extent(Extent::new(b, n));
         });
         pm.wss_current += m + fresh;
         *free -= m;
@@ -513,15 +614,22 @@ impl Kernel {
     }
 
     /// [`Kernel::evict_batch`] without the event: the number of pages
-    /// evicted and the write extents.
+    /// evicted and the write extents. The list is walked twice as word
+    /// masks ([`word_masks`]): once to bounds-check it and count its dirty
+    /// entries for the one allocation, then to evict each mask's resident
+    /// pages at once.
     fn evict_pages(
         &mut self,
         pid: ProcId,
         pages: &[PageNum],
         evicted_log: &mut Vec<PageNum>,
     ) -> Result<(usize, Vec<Extent>), MemError> {
-        let fresh = self.alloc_for_dirty(pid, pages)?;
-        let mut fresh_blocks = fresh.iter().flat_map(|e| e.start..e.end());
+        let pt = &self.proc(pid)?.pt;
+        let need = pt
+            .dirty_entries(pages)
+            .map_err(|p| MemError::BadPage(pid, p))?;
+        let fresh = self.swap.alloc(need)?;
+        let mut blocks = FreshBlocks::new(&fresh);
         let Kernel {
             procs,
             swap,
@@ -531,54 +639,33 @@ impl Kernel {
         } = self;
         let pm = procs.get_mut(&pid).ok_or(MemError::NoSuchProc(pid))?;
         evicted_log.reserve(pages.len());
-        let (mut evicted, mut written) = (0, 0);
-        for &p in pages {
-            if !pm.pt.is_resident(p) {
-                continue; // stale candidate; skip
-            }
-            if pm.pt.is_dirty(p) {
-                debug_assert!(pm.pt.block(p).is_none(), "dirty page holds a swap copy");
-                // alloc_for_dirty counted the dirty pages and allocated
-                // exactly that many blocks; nothing mutates the page
-                // tables in between.
-                #[allow(clippy::expect_used)]
-                let block = fresh_blocks.next().expect("allocated exactly enough");
-                pm.pt.evict(p, Some(block));
-                swap_owner.insert(block, (pid, p));
-                written += 1;
-            } else {
-                if let Some(b) = pm.pt.block(p) {
-                    debug_assert_eq!(swap_owner.get(b), Some((pid, p)));
-                }
-                pm.pt.evict(p, None);
-            }
-            evicted += 1;
-            evicted_log.push(p);
+        let mut evicted = 0;
+        // Stale candidates (not resident) are skipped.
+        for (w, m) in word_masks(pages) {
+            let (gone, dirty) = pm.pt.evict_word(w, m);
+            evicted_log.extend(pages_of(w, gone).map(|i| PageNum(i as u32)));
+            evicted += gone.count_ones() as usize;
+            blocks.write(&mut pm.pt, swap_owner, pid, w, dirty);
         }
         *free += evicted;
         // Skipped stale candidates leave the tail of the allocation unused.
+        let written = blocks.used;
         Ok((evicted, swap.keep_prefix(fresh, written)))
-    }
-
-    /// Bounds-check `pages` of `pid` and allocate swap, contiguously where
-    /// possible, for those that are dirty (each needs a fresh block).
-    fn alloc_for_dirty(&mut self, pid: ProcId, pages: &[PageNum]) -> Result<Vec<Extent>, MemError> {
-        let pt = &self.proc(pid)?.pt;
-        if let Some(&p) = pages.iter().find(|p| p.idx() >= pt.len()) {
-            return Err(MemError::BadPage(pid, p));
-        }
-        let need_fresh = pages.iter().filter(|&&p| pt.is_dirty(p)).count();
-        self.swap.alloc(need_fresh as u64)
     }
 
     /// Write a dirty resident page to swap *without* evicting it: the page
     /// stays resident but becomes clean with a valid swap copy. This is
     /// the background-writing primitive (paper §3.4). Batch form: swap for
     /// copy-less pages is allocated contiguously; returns coalesced write
-    /// extents. Non-dirty / non-resident pages are skipped.
+    /// extents. Non-dirty / non-resident pages are skipped. Walks the list
+    /// as word masks, like [`Kernel::evict_batch`].
     pub fn clean_batch(&mut self, pid: ProcId, pages: &[PageNum]) -> Result<Vec<Extent>, MemError> {
-        let fresh = self.alloc_for_dirty(pid, pages)?;
-        let mut fresh_blocks = fresh.iter().flat_map(|e| e.start..e.end());
+        let pt = &self.proc(pid)?.pt;
+        let need = pt
+            .dirty_entries(pages)
+            .map_err(|p| MemError::BadPage(pid, p))?;
+        let fresh = self.swap.alloc(need)?;
+        let mut blocks = FreshBlocks::new(&fresh);
         let Kernel {
             procs,
             swap,
@@ -586,20 +673,11 @@ impl Kernel {
             ..
         } = self;
         let pm = procs.get_mut(&pid).ok_or(MemError::NoSuchProc(pid))?;
-        let mut written = 0;
-        for &p in pages {
-            if !pm.pt.is_dirty(p) {
-                continue;
-            }
-            debug_assert!(pm.pt.block(p).is_none(), "dirty page holds a swap copy");
-            // alloc_for_dirty counted the dirty pages and allocated exactly
-            // that many blocks; nothing mutates the page tables in between.
-            #[allow(clippy::expect_used)]
-            let block = fresh_blocks.next().expect("allocated exactly enough");
-            pm.pt.clean(p, block);
-            swap_owner.insert(block, (pid, p));
-            written += 1;
+        for (w, m) in word_masks(pages) {
+            let dirty = pm.pt.clean_word(w, m);
+            blocks.write(&mut pm.pt, swap_owner, pid, w, dirty);
         }
+        let written = blocks.used;
         Ok(swap.keep_prefix(fresh, written))
     }
 
@@ -647,6 +725,10 @@ impl Kernel {
     /// `limit` pages (capped by the free frames). `on_page` sees each page
     /// as it is mapped. Returns the count `n`; the fault's read is then
     /// the single extent of `1 + n` blocks from `block`.
+    ///
+    /// Each matching owner entry starts a run: the entries after it that
+    /// name `pid`'s next pages in turn, cut at the first page already
+    /// resident, are mapped at once.
     pub fn map_in_readahead(
         &mut self,
         pid: ProcId,
@@ -666,21 +748,73 @@ impl Kernel {
         let mut n = 0;
         while n < limit {
             let b = block + 1 + n as u64;
-            match swap_owner.get(b) {
-                // Only chase pages that actually need reading (swapped
-                // out); resident swap copies are already in memory.
-                Some((owner, page)) if owner == pid && !pm.pt.is_resident(page) => {
-                    let read = pm.pt.map_in(page, now);
-                    debug_assert_eq!(read, Some(b), "owner map matches the page table");
-                    on_page(page);
-                }
+            // Only chase pages that actually need reading (swapped out);
+            // resident swap copies are already in memory.
+            let page = match swap_owner.get(b) {
+                Some((owner, page)) if owner == pid && !pm.pt.is_resident(page) => page,
                 _ => break,
-            }
-            n += 1;
+            };
+            let next = (pid, PageNum(page.0 + 1));
+            let run = 1 + swap_owner.run_len(b + 1, next, limit - n - 1);
+            let run = pm.pt.absent_prefix(page, run);
+            pm.pt.map_run(page, run, now, |p, read| {
+                debug_assert_eq!(
+                    read,
+                    Some(b + u64::from(p.0 - page.0)),
+                    "owner map matches the page table"
+                );
+                on_page(p);
+            });
+            n += run;
         }
         pm.wss_current += n;
         *free -= n;
         Ok(n)
+    }
+
+    /// Adaptive page-in replay of `pid`'s record, the runs `(first, len)`
+    /// in record order, in one call. A resident page is skipped. An
+    /// absent one is mapped at `now`, as [`Kernel::map_in`] would, while
+    /// more than `floor` frames are free; once they are not, every page
+    /// left is skipped. Absent sub-runs are mapped a word at a time.
+    /// `on_page` sees each mapped page, in order, with the block to read
+    /// in, if any. Returns `(mapped, skipped)`.
+    pub fn replay(
+        &mut self,
+        pid: ProcId,
+        runs: impl IntoIterator<Item = (PageNum, usize)>,
+        floor: usize,
+        now: SimTime,
+        mut on_page: impl FnMut(PageNum, Option<u64>),
+    ) -> Result<(usize, usize), MemError> {
+        let Kernel { procs, free, .. } = self;
+        let pm = procs.get_mut(&pid).ok_or(MemError::NoSuchProc(pid))?;
+        let (mut mapped, mut skipped) = (0, 0);
+        for (first, len) in runs {
+            let end = first.idx() + len;
+            if end > pm.pt.len() {
+                let past = pm.pt.len().max(first.idx());
+                return Err(MemError::BadPage(pid, PageNum(past as u32)));
+            }
+            let mut i = first.idx();
+            while i < end {
+                let room = free.saturating_sub(floor);
+                if room == 0 {
+                    skipped += end - i;
+                    break;
+                }
+                let held = pm.pt.resident_prefix(PageNum(i as u32), end - i);
+                skipped += held;
+                i += held;
+                let absent = pm.pt.absent_prefix(PageNum(i as u32), (end - i).min(room));
+                pm.pt.map_run(PageNum(i as u32), absent, now, &mut on_page);
+                mapped += absent;
+                *free -= absent;
+                i += absent;
+            }
+        }
+        pm.wss_current += mapped;
+        Ok((mapped, skipped))
     }
 
     // ------------------------------------------------------------------
@@ -707,15 +841,9 @@ impl Kernel {
         let pm = self.proc(pid)?;
         let est = match pm.wss_last {
             Some(w) if w > 0 => w,
-            _ => {
-                // No completed quantum yet: assume it will want everything
-                // it has ever touched.
-                pm.pt
-                    .iter()
-                    .filter(|(_, s)| !matches!(s, PageState::Untouched))
-                    .count()
-                    .max(pm.rss())
-            }
+            // No completed quantum yet: assume it will want everything it
+            // has ever touched.
+            _ => pm.pt.touched(),
         };
         Ok(est.min(self.params.usable_frames()))
     }
@@ -1402,7 +1530,7 @@ mod tests {
         let past = 2 * edge + 7;
         assert_eq!(k.swap_owner.get(past), None);
         let len = k.swap_owner.len;
-        k.swap_owner.remove(past);
+        k.swap_owner.remove_run(past, 1);
         assert_eq!(k.swap_owner.len, len);
         assert_eq!(k.swap_owner.chunks.len(), 2);
         k.check_invariants().unwrap();
@@ -1495,7 +1623,7 @@ mod tests {
         // (one block referenced, one in use), but the page points at a
         // free block.
         k.swap.alloc(1).unwrap();
-        k.swap.free_block(block);
+        k.swap.free_extent(Extent::new(block, 1));
         assert_eq!(k.swap.used_blocks(), 1);
         let err = k.check_invariants().unwrap_err();
         assert!(err.contains("free swap block"), "{err}");
@@ -1513,5 +1641,19 @@ mod tests {
             k.touch(ProcId(9), PageNum(0), false, T),
             Err(MemError::NoSuchProc(_))
         ));
+        // A batch fails on its first entry past the table, in list order
+        // (here inside the table's only word, then past it), before it
+        // changes anything.
+        k.map_in(ProcId(1), PageNum(0), T).unwrap();
+        k.touch(ProcId(1), PageNum(0), true, T).unwrap();
+        let list = [0, 1, 3, 70, 2].map(PageNum);
+        let bad = Err(MemError::BadPage(ProcId(1), PageNum(3)));
+        assert_eq!(k.evict_batch(ProcId(1), &list, &mut Vec::new()), bad);
+        assert_eq!(k.clean_batch(ProcId(1), &list), bad);
+        let bad = Err(MemError::BadPage(ProcId(1), PageNum(70)));
+        assert_eq!(k.clean_batch(ProcId(1), &[PageNum(70), PageNum(3)]), bad);
+        assert_eq!(k.proc(ProcId(1)).unwrap().pt.dirty_resident(), 1);
+        assert_eq!(k.swap().used_blocks(), 0);
+        k.check_invariants().unwrap();
     }
 }

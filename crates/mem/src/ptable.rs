@@ -114,7 +114,7 @@ fn bit_run(bits: &[u64], set: bool, first: usize, max: usize) -> usize {
 }
 
 /// Page numbers of the set bits of word `w`, ascending.
-fn pages_of(w: usize, mut bits: u64) -> impl Iterator<Item = usize> {
+pub(crate) fn pages_of(w: usize, mut bits: u64) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
         (bits != 0).then(|| {
             let b = bits.trailing_zeros() as usize;
@@ -131,12 +131,81 @@ fn take_bits(cand: u64, hi: usize, want: usize) -> (u64, usize) {
     if (cand.count_ones() as usize) < want {
         return (cand, hi);
     }
-    let mut rest = cand;
-    for _ in 1..want {
+    let kept = low_bits(cand, want as u32);
+    (kept, 64 - kept.leading_zeros() as usize)
+}
+
+/// The lowest `k` set bits of `bits` (all of them if it has fewer).
+pub(crate) fn low_bits(bits: u64, k: u32) -> u64 {
+    if k >= bits.count_ones() {
+        return bits;
+    }
+    let mut rest = bits;
+    for _ in 0..k {
         rest &= rest - 1;
     }
-    let end = rest.trailing_zeros() as usize + 1;
-    (cand & mask(0, end), end)
+    bits & !rest
+}
+
+/// A page list as word masks `(w, bits)`, in list order: consecutive
+/// entries that ascend within one word share a mask, so every entry is
+/// one bit of exactly one mask. A list that does not ascend within a
+/// word gives one mask per entry.
+pub(crate) fn word_masks(pages: &[PageNum]) -> impl Iterator<Item = (usize, u64)> + '_ {
+    let mut rest = pages;
+    std::iter::from_fn(move || {
+        let (&first, tail) = rest.split_first()?;
+        let (w, mut last) = (first.idx() / 64, first.idx());
+        let mut bits = 1u64 << (last % 64);
+        let joined = tail
+            .iter()
+            .take_while(|p| {
+                let next = p.idx() / 64 == w && p.idx() > last;
+                if next {
+                    last = p.idx();
+                    bits |= 1 << (last % 64);
+                }
+                next
+            })
+            .count();
+        rest = &tail[joined..];
+        Some((w, bits))
+    })
+}
+
+/// Coalesces blocks, pushed in turn, into runs of consecutive blocks,
+/// and hands each run to `out` as `(first, len)` once it ends.
+pub(crate) struct BlockRuns<F: FnMut(u64, u64)> {
+    first: u64,
+    len: u64,
+    out: F,
+}
+
+impl<F: FnMut(u64, u64)> BlockRuns<F> {
+    pub(crate) fn new(out: F) -> Self {
+        BlockRuns {
+            first: 0,
+            len: 0,
+            out,
+        }
+    }
+
+    pub(crate) fn push(&mut self, block: u64) {
+        if self.len > 0 && self.first + self.len == block {
+            self.len += 1;
+        } else {
+            self.finish();
+            (self.first, self.len) = (block, 1);
+        }
+    }
+
+    /// Hand out the open run, if any.
+    pub(crate) fn finish(&mut self) {
+        if self.len > 0 {
+            (self.out)(self.first, self.len);
+            self.len = 0;
+        }
+    }
 }
 
 /// One process's page table plus bookkeeping counters.
@@ -226,6 +295,35 @@ impl PageTable {
         slot_block(self.block[p.idx()])
     }
 
+    /// Whether page `p` was never touched: not resident, no swap image.
+    pub fn is_untouched(&self, p: PageNum) -> bool {
+        !self.is_resident(p) && self.block[p.idx()] == NO_BLOCK
+    }
+
+    /// How many pages have been touched (are resident, or hold a swap
+    /// image), counted a word at a time.
+    pub(crate) fn touched(&self) -> usize {
+        let held = |slots: &[BlockSlot]| {
+            (0u32..)
+                .zip(slots)
+                .fold(0u64, |bits, (b, &s)| bits | u64::from(s != NO_BLOCK) << b)
+        };
+        self.present
+            .iter()
+            .zip(self.block.chunks(64))
+            .map(|(&present, slots)| (present | held(slots)).count_ones() as usize)
+            .sum()
+    }
+
+    /// How many of the `len` pages from `first` are not resident,
+    /// counted a word at a time.
+    pub fn absent(&self, first: PageNum, len: usize) -> usize {
+        let held: u32 = word_spans(first.idx(), first.idx() + len)
+            .map(|(w, m)| (self.present[w] & m).count_ones())
+            .sum();
+        len - held as usize
+    }
+
     /// State of page `p`, decoded from the arrays.
     pub fn state(&self, p: PageNum) -> PageState {
         let i = p.idx();
@@ -285,12 +383,18 @@ impl PageTable {
         bit_run(&self.present, true, first.idx(), max)
     }
 
+    /// Length of the run of non-resident pages starting at `first`, at
+    /// most `max`. Scans a word at a time.
+    pub(crate) fn absent_prefix(&self, first: PageNum, max: usize) -> usize {
+        bit_run(&self.present, false, first.idx(), max)
+    }
+
     /// Length of the run of untouched pages (not resident, no swap block)
     /// starting at `first`, at most `max`: the residency bits a word at a
     /// time, then the block slots of the non-resident prefix.
     pub(crate) fn untouched_prefix(&self, first: PageNum, max: usize) -> usize {
         let lo = first.idx();
-        let absent = bit_run(&self.present, false, lo, max);
+        let absent = self.absent_prefix(first, max);
         self.block[lo..lo + absent]
             .iter()
             .position(|&s| s != NO_BLOCK)
@@ -300,20 +404,22 @@ impl PageTable {
     /// Touch the `len` pages from `first`, all of which must be resident:
     /// set their reference and epoch bits and their age, and on a `write`
     /// their dirty bits. A write makes each newly dirtied page's swap copy
-    /// stale; `stale` receives those blocks in page order, so a dirty page
-    /// never holds a copy. Returns how many pages were not yet touched in
-    /// the current epoch.
+    /// stale; `stale` receives those blocks as runs `(first, len)` of
+    /// consecutive blocks, in page order, so a dirty page never holds a
+    /// copy. Returns how many pages were not yet touched in the current
+    /// epoch.
     pub(crate) fn touch_resident(
         &mut self,
         first: PageNum,
         len: usize,
         now: SimTime,
         write: bool,
-        mut stale: impl FnMut(u64),
+        stale: impl FnMut(u64, u64),
     ) -> usize {
         let range = first.idx()..first.idx() + len;
         self.last_ref[range.clone()].fill(now);
         let mut fresh = 0;
+        let mut freed = BlockRuns::new(stale);
         for (w, m) in word_spans(range.start, range.end) {
             debug_assert_eq!(self.present[w] & m, m, "touch of a non-resident page");
             fresh += (m & !self.seen[w]).count_ones() as usize;
@@ -326,11 +432,12 @@ impl PageTable {
                 for i in pages_of(w, newly) {
                     let copy = std::mem::replace(&mut self.block[i], NO_BLOCK);
                     if let Some(block) = slot_block(copy) {
-                        stale(block);
+                        freed.push(block);
                     }
                 }
             }
         }
+        freed.finish();
         fresh
     }
 
@@ -338,14 +445,33 @@ impl PageTable {
     /// touched in the current epoch. A swapped page keeps its block as a
     /// clean copy; the block is returned (it must be read in).
     pub(crate) fn map_in(&mut self, p: PageNum, now: SimTime) -> Option<u64> {
-        let (w, b) = (p.idx() / 64, 1u64 << (p.idx() % 64));
-        debug_assert!(!self.is_resident(p), "map_in of a resident page");
-        self.present[w] |= b;
-        self.referenced[w] |= b;
-        self.seen[w] |= b;
-        self.last_ref[p.idx()] = now;
-        self.resident += 1;
-        self.block(p)
+        let mut read = None;
+        self.map_run(p, 1, now, |_, block| read = block);
+        read
+    }
+
+    /// [`PageTable::map_in`] of the `len` pages from `first`, none of
+    /// them resident, a word at a time. `each` sees every page in order,
+    /// with the block to read in, if any.
+    pub(crate) fn map_run(
+        &mut self,
+        first: PageNum,
+        len: usize,
+        now: SimTime,
+        mut each: impl FnMut(PageNum, Option<u64>),
+    ) {
+        let range = first.idx()..first.idx() + len;
+        for (w, m) in word_spans(range.start, range.end) {
+            debug_assert_eq!(self.present[w] & m, 0, "map_in of a resident page");
+            self.present[w] |= m;
+            self.referenced[w] |= m;
+            self.seen[w] |= m;
+        }
+        self.last_ref[range.clone()].fill(now);
+        self.resident += len;
+        for i in range {
+            each(PageNum(i as u32), slot_block(self.block[i]));
+        }
     }
 
     /// `m` one-page first touches from resident page `first` (A) in one
@@ -354,8 +480,9 @@ impl PageTable {
     /// as `touch_resident(A+j−1, 1, ..)` then `map_in(A+j, ..)` per page
     /// would leave it: the age ramp, the residency bits of A+1..=A+m, the
     /// reference and epoch bits of A..=A+m, and on a `write` the dirty
-    /// bits of A..A+m. `stale` receives A's swap copy if the write makes
-    /// it stale. Returns how many touched pages were new to the epoch.
+    /// bits of A..A+m. `stale` receives A's swap copy, as a run of one
+    /// block, if the write makes it stale. Returns how many touched pages
+    /// were new to the epoch.
     pub(crate) fn first_touch(
         &mut self,
         first: PageNum,
@@ -363,7 +490,7 @@ impl PageTable {
         now: SimTime,
         step: SimDur,
         write: bool,
-        mut stale: impl FnMut(u64),
+        mut stale: impl FnMut(u64, u64),
     ) -> usize {
         let (a, last) = (first.idx(), first.idx() + m);
         debug_assert!(m > 0, "first touch of no pages");
@@ -383,7 +510,7 @@ impl PageTable {
         } else if write {
             self.dirty_resident += m;
             if let Some(block) = slot_block(std::mem::replace(&mut self.block[a], NO_BLOCK)) {
-                stale(block);
+                stale(block, 1);
             }
         }
         for (j, age) in (0u64..).zip(&mut self.last_ref[a..=last]) {
@@ -412,30 +539,67 @@ impl PageTable {
         self.seen.fill(0);
     }
 
-    /// Drop resident page `p` from its frame. A dirty page must be given
-    /// the block its image is written to; a clean page keeps its copy (it
-    /// becomes swapped) or, without one, becomes untouched.
-    pub(crate) fn evict(&mut self, p: PageNum, write_to: Option<u64>) {
-        let (w, b) = (p.idx() / 64, 1u64 << (p.idx() % 64));
-        debug_assert!(self.is_resident(p), "evict of a non-resident page");
-        debug_assert_eq!(self.is_dirty(p), write_to.is_some(), "write iff dirty");
-        if let Some(block) = write_to {
-            self.block[p.idx()] = slot(block);
-            self.dirty[w] &= !b;
-            self.dirty_resident -= 1;
+    /// Mask of the pages of word `w` that lie in the table.
+    fn in_table(&self, w: usize) -> u64 {
+        match self.len().saturating_sub(w * 64) {
+            0 => 0,
+            n => mask(0, n.min(64)),
         }
-        self.present[w] &= !b;
-        self.referenced[w] &= !b;
-        self.resident -= 1;
     }
 
-    /// Mark dirty resident page `p` clean, its image now written to
-    /// `block`, which becomes its swap copy.
-    pub(crate) fn clean(&mut self, p: PageNum, block: u64) {
-        debug_assert!(self.is_dirty(p), "clean of a page that is not dirty");
-        self.dirty[p.idx() / 64] &= !(1u64 << (p.idx() % 64));
-        self.dirty_resident -= 1;
-        self.block[p.idx()] = slot(block);
+    /// How many entries of `pages` are dirty, an entry listed twice
+    /// counting twice, a word mask ([`word_masks`]) at a time. Fails with
+    /// the first entry, in list order, that lies past the table.
+    pub(crate) fn dirty_entries(&self, pages: &[PageNum]) -> Result<u64, PageNum> {
+        word_masks(pages).try_fold(0, |n, (w, m)| match m & !self.in_table(w) {
+            0 => Ok(n + u64::from((m & self.dirty[w]).count_ones())),
+            past => Err(PageNum((w * 64) as u32 + past.trailing_zeros())),
+        })
+    }
+
+    /// Drop the resident pages among `m` (word `w`) from their frames. A
+    /// clean page keeps its copy (it becomes swapped) or, without one,
+    /// becomes untouched. Returns the dropped pages and, of those, the
+    /// dirty ones: they hold no block yet, and the caller must give each
+    /// the block its image is written to ([`PageTable::set_blocks`]).
+    pub(crate) fn evict_word(&mut self, w: usize, m: u64) -> (u64, u64) {
+        let gone = m & self.present[w];
+        let dirty = gone & self.dirty[w];
+        self.present[w] &= !gone;
+        self.referenced[w] &= !gone;
+        self.dirty[w] &= !dirty;
+        self.resident -= gone.count_ones() as usize;
+        self.dirty_resident -= dirty.count_ones() as usize;
+        (gone, dirty)
+    }
+
+    /// Mark the dirty pages among `m` (word `w`) clean, and return them:
+    /// the caller must give each the block its image is written to, which
+    /// becomes its swap copy ([`PageTable::set_blocks`]).
+    pub(crate) fn clean_word(&mut self, w: usize, m: u64) -> u64 {
+        let dirty = m & self.dirty[w];
+        self.dirty[w] &= !dirty;
+        self.dirty_resident -= dirty.count_ones() as usize;
+        dirty
+    }
+
+    /// Give the pages of `m` (word `w`), in page order, the blocks
+    /// `first, first + 1, …`. None of them may hold a block.
+    pub(crate) fn set_blocks(&mut self, w: usize, m: u64, first: u64) {
+        for (i, block) in pages_of(w, m).zip(first..) {
+            debug_assert_eq!(self.block[i], NO_BLOCK, "page {i} holds a block");
+            self.block[i] = slot(block);
+        }
+    }
+
+    /// The blocks the table holds, in page order, as runs `(first, len)`
+    /// of consecutive blocks.
+    pub(crate) fn block_runs(&self, out: impl FnMut(u64, u64)) {
+        let mut runs = BlockRuns::new(out);
+        for block in self.block.iter().filter_map(|&s| slot_block(s)) {
+            runs.push(block);
+        }
+        runs.finish();
     }
 
     /// Clock sweep from the stored hand position: visit up to `max_scan`
@@ -503,8 +667,30 @@ mod tests {
     fn mapped(pt: &mut PageTable, pages: impl IntoIterator<Item = u32>, t: u64, dirty: bool) {
         for i in pages {
             pt.map_in(PageNum(i), SimTime::from_us(t));
-            pt.touch_resident(PageNum(i), 1, SimTime::from_us(t), dirty, |_| {});
+            pt.touch_resident(PageNum(i), 1, SimTime::from_us(t), dirty, |_, _| {});
         }
+    }
+
+    /// Evict resident page `p`; a dirty one is written to `write_to`.
+    fn evict(pt: &mut PageTable, p: u32, write_to: Option<u64>) {
+        let (w, bit) = (p as usize / 64, 1u64 << (p % 64));
+        let (gone, dirty) = pt.evict_word(w, bit);
+        assert_eq!(gone, bit, "evict of a non-resident page");
+        assert_eq!(dirty != 0, write_to.is_some(), "write iff dirty");
+        if let Some(block) = write_to {
+            pt.set_blocks(w, dirty, block);
+        }
+    }
+
+    /// Write dirty page `p` to `block`, keeping it resident.
+    fn clean(pt: &mut PageTable, p: u32, block: u64) {
+        let (w, bit) = (p as usize / 64, 1u64 << (p % 64));
+        assert_eq!(
+            pt.clean_word(w, bit),
+            bit,
+            "clean of a page that is not dirty"
+        );
+        pt.set_blocks(w, bit, block);
     }
 
     fn unreferenced(n: usize) -> PageTable {
@@ -522,11 +708,11 @@ mod tests {
         mapped(&mut pt, [1], 2, true);
         assert_eq!(pt.resident(), 2);
         assert_eq!(pt.dirty_resident(), 1);
-        pt.evict(PageNum(1), Some(9));
+        evict(&mut pt, 1, Some(9));
         assert_eq!(pt.state(PageNum(1)), PageState::Swapped { block: 9 });
         assert_eq!(pt.resident(), 1);
         assert_eq!(pt.dirty_resident(), 0);
-        pt.evict(PageNum(0), None);
+        evict(&mut pt, 0, None);
         assert_eq!(pt.state(PageNum(0)), PageState::Untouched);
         assert_eq!(pt.resident(), 0);
     }
@@ -535,8 +721,8 @@ mod tests {
     fn block_slots_hold_block_zero_and_the_highest_block() {
         let mut pt = PageTable::new(2);
         mapped(&mut pt, [0, 1], 1, true);
-        pt.evict(PageNum(0), Some(0));
-        pt.evict(PageNum(1), Some(MAX_BLOCKS - 1));
+        evict(&mut pt, 0, Some(0));
+        evict(&mut pt, 1, Some(MAX_BLOCKS - 1));
         assert_eq!(pt.state(PageNum(0)), PageState::Swapped { block: 0 });
         assert_eq!(
             pt.state(PageNum(1)),
@@ -550,7 +736,7 @@ mod tests {
     fn state_decodes_every_field() {
         let mut pt = PageTable::new(3);
         mapped(&mut pt, [0], 5, true);
-        pt.evict(PageNum(0), Some(7));
+        evict(&mut pt, 0, Some(7));
         pt.new_epoch();
         assert_eq!(pt.map_in(PageNum(0), SimTime::from_us(6)), Some(7));
         assert_eq!(
@@ -571,7 +757,7 @@ mod tests {
     fn clean_keeps_page_resident_with_copy() {
         let mut pt = PageTable::new(2);
         mapped(&mut pt, [1], 1, true);
-        pt.clean(PageNum(1), 4);
+        clean(&mut pt, 1, 4);
         assert_eq!(pt.dirty_resident(), 0);
         assert!(matches!(
             pt.state(PageNum(1)),
@@ -627,7 +813,7 @@ mod tests {
         assert_eq!(pt.resident_prefix(PageNum(0), 200), 200);
         assert_eq!(pt.resident_prefix(PageNum(190), 10), 10);
         assert_eq!(pt.resident_prefix(PageNum(199), 1), 1);
-        pt.evict(PageNum(199), None);
+        evict(&mut pt, 199, None);
         assert_eq!(pt.resident_prefix(PageNum(180), 20), 19);
     }
 
@@ -637,16 +823,16 @@ mod tests {
         // Clean pages with copies at blocks 1000+i, straddling two words.
         for i in 60..130u32 {
             mapped(&mut pt, [i], 1, true);
-            pt.clean(PageNum(i), 1000 + u64::from(i));
+            clean(&mut pt, i, 1000 + u64::from(i));
         }
         let mut freed = Vec::new();
         let t = SimTime::from_us(2);
-        pt.touch_resident(PageNum(60), 70, t, true, |b| freed.push(b));
-        assert_eq!(freed, (1060..1130).collect::<Vec<u64>>());
+        pt.touch_resident(PageNum(60), 70, t, true, |b, n| freed.push((b, n)));
+        assert_eq!(freed, [(1060, 70)], "one run across the word edge");
         assert_eq!(pt.dirty_resident(), 70);
         // Already dirty: a second write run has nothing left to free.
-        pt.touch_resident(PageNum(60), 70, t, true, |b| freed.push(b));
-        assert_eq!(freed.len(), 70);
+        pt.touch_resident(PageNum(60), 70, t, true, |b, n| freed.push((b, n)));
+        assert_eq!(freed.len(), 1);
         assert!((60..130).all(|i| pt.block(PageNum(i)).is_none()));
     }
 
@@ -655,12 +841,12 @@ mod tests {
         let mut pt = PageTable::new(100);
         mapped(&mut pt, 0..100, 1, false);
         let t = SimTime::from_us(2);
-        assert_eq!(pt.touch_resident(PageNum(0), 70, t, false, |_| {}), 0);
+        assert_eq!(pt.touch_resident(PageNum(0), 70, t, false, |_, _| {}), 0);
         pt.new_epoch();
-        assert_eq!(pt.touch_resident(PageNum(0), 70, t, false, |_| {}), 70);
-        assert_eq!(pt.touch_resident(PageNum(50), 50, t, false, |_| {}), 30);
+        assert_eq!(pt.touch_resident(PageNum(0), 70, t, false, |_, _| {}), 70);
+        assert_eq!(pt.touch_resident(PageNum(50), 50, t, false, |_, _| {}), 30);
         pt.new_epoch();
-        assert_eq!(pt.touch_resident(PageNum(50), 0, t, false, |_| {}), 0);
+        assert_eq!(pt.touch_resident(PageNum(50), 0, t, false, |_, _| {}), 0);
     }
 
     #[test]
@@ -689,7 +875,7 @@ mod tests {
     fn clock_sweep_skips_nonresident() {
         let mut pt = PageTable::new(4);
         mapped(&mut pt, [1], 1, true);
-        pt.evict(PageNum(1), Some(3));
+        evict(&mut pt, 1, Some(3));
         mapped(&mut pt, [3], 1, false);
         pt.clock_sweep(4, 4);
         let v = pt.clock_sweep(4, 4);

@@ -5,9 +5,11 @@
 //! batch allocations (whole-working-set page-outs) carve large contiguous
 //! runs, which is what later makes block page-in cheap — the same
 //! dependence on swap layout that real block-paging systems exploit
-//! (paper §1, VM/HPO reference \[6\]). Freeing is a bit clear: every write
-//! to a page with a clean swap copy frees that copy (the Linux swap-cache
-//! rule), so frees sit on the touch path and must cost O(1).
+//! (paper §1, VM/HPO reference \[6\]). Freeing is a masked clear per
+//! bitmap word: every write to a page with a clean swap copy frees that
+//! copy (the Linux swap-cache rule), so frees sit on the touch path, and
+//! a write run frees the copies it makes stale as extents of consecutive
+//! blocks.
 
 use crate::ptable::word_spans;
 use crate::types::MemError;
@@ -131,14 +133,9 @@ impl SwapSpace {
         extents
     }
 
-    /// Return one block to the free pool.
+    /// Return an extent to the free pool.
     ///
     /// Panics (debug) on double-free — that is a simulation bug.
-    pub fn free_block(&mut self, block: u64) {
-        self.free_extent(Extent::new(block, 1));
-    }
-
-    /// Return an extent to the free pool.
     pub fn free_extent(&mut self, e: Extent) {
         if e.len == 0 {
             return;
@@ -311,7 +308,7 @@ mod tests {
         let mut s = SwapSpace::new(16);
         s.alloc(16).unwrap();
         for b in (0..16).step_by(2) {
-            s.free_block(b);
+            s.free_extent(Extent::new(b, 1));
         }
         assert_eq!(s.fragments(), 8);
         assert_eq!(s.free_blocks(), 8);
@@ -325,8 +322,8 @@ mod tests {
     fn double_free_panics_in_debug() {
         let mut s = SwapSpace::new(10);
         s.alloc(10).unwrap();
-        s.free_block(3);
-        s.free_block(3);
+        s.free_extent(Extent::new(3, 1));
+        s.free_extent(Extent::new(3, 1));
     }
 
     #[test]

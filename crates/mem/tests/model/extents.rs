@@ -132,7 +132,7 @@ pub const DEVICES: [u64; 6] = [0, 1, 63, 64, 65, 4096];
 pub enum SwapOp {
     /// `alloc(n)`.
     Alloc(u64),
-    /// `free_block` of one held block.
+    /// `free_extent` of one held block.
     FreeBlock { pick: usize, at: u64 },
     /// `free_extent` of part of one held extent.
     FreeExtent { pick: usize, at: u64, len: u64 },
@@ -202,7 +202,7 @@ pub fn check_swap_ops(total: u64, ops: &[SwapOp]) -> Result<(), String> {
             SwapOp::FreeBlock { pick, at: off } => {
                 let gone = release(&mut held, pick, off, 0);
                 if let Some(e) = gone {
-                    bitmap.free_block(e.start);
+                    bitmap.free_extent(Extent::new(e.start, 1));
                     reference.free_block(e.start);
                 }
                 gone.into_iter().collect()

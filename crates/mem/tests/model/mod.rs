@@ -13,7 +13,40 @@ use agp_sim::SimTime;
 use extents::ExtentSwap;
 
 const PID: ProcId = ProcId(7);
-const SWAP_BLOCKS: u64 = 4096;
+/// Holds swap blocks `0..fill` from the start of each case.
+const FILLER: ProcId = ProcId(8);
+/// Two owner chunks of 4096 blocks, so runs can cross the chunk edge.
+const SWAP_BLOCKS: u64 = 8192;
+
+/// The order of an eviction or cleaning list. Clock and dirty sweeps
+/// pass ascending lists; selective and aggressive page-out pass pages by
+/// age, and the global LRU per-process groups of pages by age.
+#[derive(Clone, Copy, Debug)]
+pub enum Shape {
+    /// `first, first+1, …`, wrapping at the table end.
+    Ascending,
+    /// The ascending list backwards.
+    Reversed,
+    /// The two halves of the ascending list, merged entry by entry.
+    Interleaved,
+    /// Each page of the ascending list twice in a row.
+    Repeating,
+}
+
+impl Shape {
+    /// `len` pages of a table of `n` pages from `first`, in this order.
+    fn list(self, n: usize, first: u16, len: usize) -> Vec<usize> {
+        let at = |j: usize| (first as usize + j) % n;
+        match self {
+            Shape::Ascending => (0..len).map(at).collect(),
+            Shape::Reversed => (0..len).rev().map(at).collect(),
+            Shape::Interleaved => (0..len)
+                .map(|j| at(j / 2 + (j % 2) * len.div_ceil(2)))
+                .collect(),
+            Shape::Repeating => (0..len).map(|j| at(j / 2)).collect(),
+        }
+    }
+}
 
 /// One operation on a table of `n` pages. Raw fields are reduced modulo
 /// the table size when applied, so any values form a valid operation.
@@ -23,11 +56,19 @@ pub enum Op {
     MapIn { first: u16, len: usize },
     /// `touch_run` over `first..first+len` (clipped).
     TouchRun { first: u16, len: usize, write: bool },
-    /// `evict_batch` of `len` consecutive pages from `first`, wrapping, so
-    /// long lists repeat pages.
-    EvictBatch { first: u16, len: usize },
+    /// `evict_batch` of a list of `len` pages from `first` in `shape`
+    /// order, wrapping, so long lists repeat pages.
+    EvictBatch {
+        first: u16,
+        len: usize,
+        shape: Shape,
+    },
     /// `clean_batch` of the same kind of list.
-    CleanBatch { first: u16, len: usize },
+    CleanBatch {
+        first: u16,
+        len: usize,
+        shape: Shape,
+    },
     /// Clock sweep of up to `scan` pages for up to `victims` victims.
     ClockSweep { scan: usize, victims: u16 },
     /// Dirty sweep from `hand` over up to `scan` pages.
@@ -41,12 +82,22 @@ pub enum Op {
     /// Major fault on the first swapped page at or after `page`
     /// (wrapping): `map_in`, then read-ahead of up to `limit` pages.
     Fault { page: u16, limit: usize },
+    /// `replay` of two overlapping runs, `first..first+len` and the `len`
+    /// pages from its middle (both clipped), above a frame floor of
+    /// `floor` (reduced modulo the frames).
+    Replay { first: u16, len: usize, floor: u16 },
 }
 
 impl Op {
     /// Decode an operation from raw draws: `kind` picks the variant, the
     /// rest fill its fields.
     pub fn from_raw(kind: u8, a: u16, b: u16, len: usize, write: bool) -> Op {
+        let shape = [
+            Shape::Ascending,
+            Shape::Reversed,
+            Shape::Interleaved,
+            Shape::Repeating,
+        ][usize::from(b % 4)];
         match kind % KINDS {
             0 => Op::MapIn { first: a, len },
             1 => Op::TouchRun {
@@ -54,8 +105,16 @@ impl Op {
                 len,
                 write,
             },
-            2 => Op::EvictBatch { first: a, len },
-            3 => Op::CleanBatch { first: a, len },
+            2 => Op::EvictBatch {
+                first: a,
+                len,
+                shape,
+            },
+            3 => Op::CleanBatch {
+                first: a,
+                len,
+                shape,
+            },
             4 => Op::ClockSweep {
                 scan: len,
                 victims: b % 100,
@@ -66,16 +125,21 @@ impl Op {
                 collect: b % 100,
             },
             6 => Op::Quantum,
-            _ => Op::Fault {
+            7 => Op::Fault {
                 page: a,
                 limit: len % 20,
+            },
+            _ => Op::Replay {
+                first: a,
+                len,
+                floor: b,
             },
         }
     }
 }
 
 /// Number of [`Op`] variants [`Op::from_raw`] decodes.
-pub const KINDS: u8 = 8;
+pub const KINDS: u8 = 9;
 
 /// The reference table of one process.
 struct Model {
@@ -202,6 +266,36 @@ impl Model {
         mapped
     }
 
+    /// Replay of `runs` page by page: a resident page is skipped, and so
+    /// is an absent one once no more than `floor` of the `usable` frames
+    /// are free; every other page is mapped.
+    fn replay(
+        &mut self,
+        runs: &[(usize, usize)],
+        floor: usize,
+        usable: usize,
+        now: SimTime,
+    ) -> (Vec<(PageNum, Option<u64>)>, usize) {
+        let mut resident = self.pages.iter().filter(|s| s.is_resident()).count();
+        let (mut mapped, mut skipped) = (Vec::new(), 0);
+        for &(first, len) in runs {
+            for i in first..first + len {
+                if self.resident(i).is_some() || usable - resident <= floor {
+                    skipped += 1;
+                    continue;
+                }
+                let block = match self.pages[i] {
+                    PageState::Swapped { block } => Some(block),
+                    _ => None,
+                };
+                self.map_in(i, now);
+                resident += 1;
+                mapped.push((PageNum(i as u32), block));
+            }
+        }
+        (mapped, skipped)
+    }
+
     fn clock_sweep(&mut self, max_scan: usize, max_victims: usize) -> Vec<PageNum> {
         let n = self.pages.len();
         let mut victims = Vec::new();
@@ -270,17 +364,38 @@ fn compare(k: &Kernel, m: &Model) -> Result<(), String> {
     k.check_invariants()
 }
 
+/// Page out `fill` pages of a filler process, a few at a time, so that
+/// swap blocks `0..fill` are in use.
+fn fill_swap(k: &mut Kernel, fill: usize) -> Result<(), agp_mem::MemError> {
+    k.register_proc(FILLER, fill);
+    let t = SimTime::ZERO;
+    let pages: Vec<PageNum> = (0..fill as u32).map(PageNum).collect();
+    for batch in pages.chunks(16) {
+        for &p in batch {
+            k.map_in(FILLER, p, t)?;
+            k.touch(FILLER, p, true, t)?;
+        }
+        k.evict_batch(FILLER, batch, &mut Vec::new())?;
+    }
+    Ok(())
+}
+
 /// Apply `ops` to a kernel holding one process of `n` pages and to the
-/// reference model; fail at the first step where they disagree.
-pub fn check_ops(n: usize, ops: &[Op]) -> Result<(), String> {
+/// reference model; fail at the first step where they disagree. Both
+/// start with swap blocks `0..fill` in use (the kernel's by a filler
+/// process), so the process's swap runs start at `fill`.
+pub fn check_ops(n: usize, fill: usize, ops: &[Op]) -> Result<(), String> {
+    let usable = n + 16;
     let params = VmParams {
-        total_frames: n + 16,
+        total_frames: usable,
         wired_frames: 0,
         freepages_min: 4,
         freepages_high: 8,
         readahead: 16,
     };
+    let err = |e: agp_mem::MemError| e.to_string();
     let mut k = Kernel::new(params, SWAP_BLOCKS);
+    fill_swap(&mut k, fill).map_err(err)?;
     k.register_proc(PID, n);
     let mut m = Model {
         pages: vec![PageState::Untouched; n],
@@ -288,10 +403,12 @@ pub fn check_ops(n: usize, ops: &[Op]) -> Result<(), String> {
         swap: ExtentSwap::new(SWAP_BLOCKS),
         wss: 0,
     };
-    let err = |e: agp_mem::MemError| e.to_string();
-    let wrap = |first: u16, len: usize| -> Vec<usize> {
-        (0..len).map(|j| (first as usize + j) % n).collect()
-    };
+    same(
+        "filled swap",
+        m.swap.alloc(fill as u64).map_err(err)?,
+        vec![Extent::new(0, fill as u64)],
+    )?;
+    same("used blocks", k.swap().used_blocks(), fill as u64)?;
     for (step, op) in ops.iter().enumerate() {
         let now = SimTime::from_us(step as u64 + 1);
         let at = |e: String| format!("step {step} {op:?}: {e}");
@@ -313,15 +430,15 @@ pub fn check_ops(n: usize, ops: &[Op]) -> Result<(), String> {
                     .map_err(err)?;
                 same("touch_run", got, m.touch_run(first, len, write, now)).map_err(at)?;
             }
-            Op::EvictBatch { first, len } => {
-                let list = wrap(first, len);
+            Op::EvictBatch { first, len, shape } => {
+                let list = shape.list(n, first, len);
                 let pages: Vec<PageNum> = list.iter().map(|&i| PageNum(i as u32)).collect();
                 let mut log = Vec::new();
                 let ext = k.evict_batch(PID, &pages, &mut log).map_err(err)?;
                 same("evict_batch", (ext, log), m.evict_batch(&list)).map_err(at)?;
             }
-            Op::CleanBatch { first, len } => {
-                let list = wrap(first, len);
+            Op::CleanBatch { first, len, shape } => {
+                let list = shape.list(n, first, len);
                 let pages: Vec<PageNum> = list.iter().map(|&i| PageNum(i as u32)).collect();
                 let ext = k.clean_batch(PID, &pages).map_err(err)?;
                 same("clean_batch", ext, m.clean_batch(&list)).map_err(at)?;
@@ -369,6 +486,19 @@ pub fn check_ops(n: usize, ops: &[Op]) -> Result<(), String> {
                     let want = m.readahead(block, limit, now);
                     same("readahead", (count, got), (want.len(), want)).map_err(at)?;
                 }
+            }
+            Op::Replay { first, len, floor } => {
+                let first = first as usize % n;
+                let clip = |lo: usize| (lo.min(n), (lo + len).min(n) - lo.min(n));
+                let runs = [clip(first), clip(first + len / 2)];
+                let floor = usize::from(floor) % usable;
+                let mut got = Vec::new();
+                let record = runs.iter().map(|&(p, len)| (PageNum(p as u32), len));
+                let counts = k
+                    .replay(PID, record, floor, now, |p, block| got.push((p, block)))
+                    .map_err(err)?;
+                let (want, skipped) = m.replay(&runs, floor, usable, now);
+                same("replay", (counts, got), ((want.len(), skipped), want)).map_err(at)?;
             }
         }
         compare(&k, &m).map_err(at)?;

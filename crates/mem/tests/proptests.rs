@@ -299,15 +299,20 @@ fn table_pages(rng: &mut SimRng) -> usize {
     rng.range(1, 301) as usize
 }
 
-/// map_in, touch_run, evict_batch, clean_batch, clock_sweep and
-/// dirty_sweep leave every page's state, the counters, the clock
-/// hand and the invariants equal to the reference model's, over 150
-/// operations whose runs are up to 200 pages long and start anywhere,
-/// so they cross 64-page word edges.
+/// map_in, touch_run, evict_batch, clean_batch, clock_sweep,
+/// dirty_sweep, read-ahead and replay leave every page's state, the
+/// counters, the clock hand and the invariants equal to the reference
+/// model's, over 150 operations whose runs are up to 200 pages long and
+/// start anywhere, so they cross 64-page word edges. Eviction and
+/// cleaning lists come ascending, reversed, interleaved or repeating.
+/// Each case starts with swap in use up to a block drawn from
+/// 4032..4096, so swap runs (eviction, read-ahead, stale-copy frees)
+/// cross the owner map's chunk edge at block 4096.
 #[test]
 fn page_table_matches_reference_model() {
     prop::check("page_table_matches_reference_model", MODEL_CASES, |rng| {
         let pages = table_pages(rng);
+        let fill = 4032 + rng.below(64) as usize;
         let ops: Vec<model::Op> = (0..150)
             .map(|_| {
                 model::Op::from_raw(
@@ -319,7 +324,8 @@ fn page_table_matches_reference_model() {
                 )
             })
             .collect();
-        model::check_ops(pages, &ops).unwrap_or_else(|e| panic!("{pages} pages: {e}"));
+        model::check_ops(pages, fill, &ops)
+            .unwrap_or_else(|e| panic!("{pages} pages, swap filled to {fill}: {e}"));
     });
 }
 
@@ -346,7 +352,7 @@ fn oldest_first_matches_reference_sort() {
 
 /// The bitmap swap allocator returns the reference extent
 /// allocator's result for every alloc, and agrees on free blocks,
-/// fragments and block states after every alloc, free_block and
+/// fragments and block states after every alloc, one-block free and
 /// free_extent, over 300 operations on devices on both sides of a
 /// word edge. Allocations ask for 0..300 blocks.
 #[test]
@@ -418,7 +424,7 @@ fn swap_allocator_conserves() {
                 }
                 _ => {
                     if let Some(e) = release(&mut held, pick, at, 0) {
-                        s.free_block(e.start);
+                        s.free_extent(Extent::new(e.start, 1));
                         held_blocks -= 1;
                     }
                 }

@@ -6,6 +6,7 @@
 
 use adaptive_gang_paging::cluster::{ClusterConfig, ClusterSim, JobSpec, RunResult};
 use adaptive_gang_paging::core::PolicyConfig;
+use adaptive_gang_paging::faults::fuzz::fnv1a;
 use adaptive_gang_paging::faults::FaultPlan;
 use adaptive_gang_paging::obs::{shared, JsonlWriter, ObsLink};
 use adaptive_gang_paging::sim::SimDur;
@@ -106,4 +107,55 @@ fn different_seeds_give_different_streams() {
     let (_, ta) = run_traced(cfg(1));
     let (_, tb) = run_traced(cfg(2));
     assert_ne!(ta, tb, "CG's random component must make traces diverge");
+}
+
+/// How many lines of `stream` are events of kind `ev`.
+fn count_kind(stream: &[u8], ev: &str) -> usize {
+    let needle = format!("\"ev\":\"{ev}\"");
+    String::from_utf8_lossy(stream).matches(&needle).count()
+}
+
+/// The observed event stream of the CG.A×2 pair, pinned by its FNV-1a
+/// digest and byte length under `full` and under `orig`. simbench attaches
+/// no observer, so its digest cannot see a reordered `evict`,
+/// `readahead_hit` or `replay_page`; this pin can. Each case also counts
+/// the kinds it guards, so the pin cannot pass on a stream that lost them.
+///
+/// An intended model change moves these constants. To refresh them, run
+/// this test: its failure message prints each case's counts, digest (in
+/// hex) and length. Check with `agp sim --events` that the stream changed
+/// as intended before copying them here.
+#[test]
+fn observed_event_streams_are_pinned() {
+    let cases = [
+        (
+            "full",
+            PolicyConfig::full(),
+            [("evict", 96_861), ("replay_page", 96_861)],
+            "0x95115d019178fb85",
+            17_388_937,
+        ),
+        (
+            "orig",
+            PolicyConfig::original(),
+            [("evict", 70_686), ("readahead_hit", 57_406)],
+            "0x370312356d09879f",
+            14_604_285,
+        ),
+    ];
+    for (name, policy, kinds, digest, len) in cases {
+        let mut c = cfg(0x5EED_600D);
+        c.policy = policy;
+        let (_, stream) = run_traced(c);
+        let counts = kinds.map(|(ev, _)| (ev, count_kind(&stream, ev)));
+        assert_eq!(
+            (
+                counts,
+                format!("{:#x}", fnv1a(&stream)).as_str(),
+                stream.len()
+            ),
+            (kinds, digest, len),
+            "{name}: event counts, stream digest and length"
+        );
+    }
 }
