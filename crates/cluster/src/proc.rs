@@ -78,10 +78,6 @@ pub struct SimProc {
     pub finished_at: Option<SimTime>,
     /// Work iterations completed (excludes the init pass).
     pub iterations_done: u32,
-    /// Cumulative time spent Blocked(Io) (diagnostics).
-    pub io_blocked: SimDur,
-    /// Instant the current Io block began.
-    pub io_block_start: Option<SimTime>,
 }
 
 impl SimProc {
@@ -99,8 +95,6 @@ impl SimProc {
             stop_pending: false,
             finished_at: None,
             iterations_done: 0,
-            io_blocked: SimDur::ZERO,
-            io_block_start: None,
         }
     }
 
@@ -116,17 +110,9 @@ impl SimProc {
         self.gen == gen
     }
 
-    /// Begin an Io block at `now`.
-    pub fn block_io(&mut self, now: SimTime) {
+    /// Block on paging I/O until the fault's `IoDone`.
+    pub fn block_io(&mut self) {
         self.state = PState::Blocked(BlockKind::Io);
-        self.io_block_start = Some(now);
-    }
-
-    /// End an Io block at `now`, accumulating blocked time.
-    pub fn unblock_io(&mut self, now: SimTime) {
-        if let Some(t0) = self.io_block_start.take() {
-            self.io_blocked += now.since(t0);
-        }
     }
 }
 
@@ -153,13 +139,8 @@ mod tests {
     #[test]
     fn io_block_accounting() {
         let mut p = proc();
-        p.block_io(SimTime::from_secs(10));
+        p.block_io();
         assert_eq!(p.state, PState::Blocked(BlockKind::Io));
-        p.unblock_io(SimTime::from_secs(14));
-        assert_eq!(p.io_blocked, SimDur::from_secs(4));
-        // Unblocking twice is harmless.
-        p.unblock_io(SimTime::from_secs(20));
-        assert_eq!(p.io_blocked, SimDur::from_secs(4));
     }
 
     #[test]

@@ -114,6 +114,25 @@ fn perf_span(ev: &Event) -> agp_perf::Span {
     }
 }
 
+/// What one `exec` call knows about running its process ahead.
+#[derive(Default)]
+struct Ahead {
+    /// The lookahead bound of the process's node, scanned on first use.
+    /// Nothing is pushed while the process runs ahead, so it cannot move
+    /// within the call.
+    bound: Option<Option<SimTime>>,
+    /// Whether the process reached the current instant by running ahead
+    /// rather than by a popped event.
+    moved: bool,
+}
+
+impl Ahead {
+    /// Node `ni`'s lookahead bound, scanned once.
+    fn bound(&mut self, sim: &ClusterSim, ni: usize) -> Option<SimTime> {
+        *self.bound.get_or_insert_with(|| sim.lookahead_bound(ni))
+    }
+}
+
 /// With `check_invariants` on, sweep every node once per this many events
 /// (in addition to the per-switch and per-job-completion sweeps). Frequent
 /// enough to localize a corruption to a few thousand events, cheap enough
@@ -176,6 +195,11 @@ pub struct ClusterSim {
     /// the event-count cadence, so sweeps are also due on sim-time
     /// advance (see [`Watchdog::time_cadence`]).
     last_sweep: SimTime,
+    /// Whether something watches the event order: an observer, the
+    /// invariant sweep, a watchdog, or a fault plan (whose random streams
+    /// serve every node in turn). Set when the run starts; a watched run
+    /// neither runs ahead nor takes bulk first-touch steps.
+    watched: bool,
 }
 
 impl ClusterSim {
@@ -275,6 +299,7 @@ impl ClusterSim {
             job_last_progress: vec![SimTime::ZERO; njobs],
             pending_trip: None,
             last_sweep: SimTime::ZERO,
+            watched: false,
         })
     }
 
@@ -322,6 +347,10 @@ impl ClusterSim {
     }
 
     fn run_inner(mut self) -> Result<RunResult, SimError> {
+        self.watched = self.cfg.check_invariants
+            || self.watchdog.is_some()
+            || self.obs.enabled()
+            || self.injector.is_some();
         match self.cfg.mode {
             ScheduleMode::Gang => {
                 let plan = self
@@ -459,7 +488,6 @@ impl ClusterSim {
                     let now = self.now;
                     self.job_last_progress[self.procs[p].job.0 as usize] = now;
                     let proc = &mut self.procs[p];
-                    proc.unblock_io(now);
                     if proc.stop_pending {
                         proc.stop_pending = false;
                         proc.state = PState::Stopped;
@@ -558,16 +586,19 @@ impl ClusterSim {
     // ------------------------------------------------------------------
 
     /// Run process `p` from its current position until it blocks, yields
-    /// CPU (schedules its next dispatch), stops, or finishes.
+    /// CPU (schedules its next dispatch), stops, or finishes. In an
+    /// unwatched run it moves on through its own next events instead
+    /// while nothing queued can come between ([`ClusterSim::run_ahead`]).
     fn exec(&mut self, p: usize) -> Result<(), SimError> {
-        let now = self.now;
         if self.procs[p].stop_pending {
             let proc = &mut self.procs[p];
             proc.stop_pending = false;
             proc.state = PState::Stopped;
             return Ok(());
         }
+        let mut ahead = Ahead::default();
         loop {
+            let now = self.now;
             // Phase 1: continue a partial touch run.
             if let Some(CurStep::Touch {
                 first,
@@ -601,9 +632,7 @@ impl ClusterSim {
                                 cpu_per_page,
                             });
                         }
-                        if cpu.as_us() > 0 {
-                            let gen = self.procs[p].gen;
-                            self.queue.push(now + cpu, Event::Dispatch { p, gen });
+                        if cpu.as_us() > 0 && !self.dispatch(p, now + cpu, &mut ahead) {
                             return Ok(());
                         }
                         continue;
@@ -647,30 +676,42 @@ impl ClusterSim {
                                 page: fpage.0,
                                 wait_us: completion.since(t_fault).as_us(),
                             });
-                            self.procs[p].block_io(now);
-                            let gen = self.procs[p].gen;
-                            self.queue.push(completion, Event::IoDone { p, gen });
-                            return Ok(());
+                            // Running ahead to the I/O completion skips the
+                            // block as well as the `IoDone`.
+                            if !self.run_ahead(p, completion, &mut ahead) {
+                                self.procs[p].block_io();
+                                let gen = self.procs[p].gen;
+                                self.queue.push(completion, Event::IoDone { p, gen });
+                                return Ok(());
+                            }
+                            continue;
                         }
                         // Pure zero-fill: the page is mapped; charge any
                         // CPU and keep going, through as many of the
                         // first touches that follow as the bulk step may
                         // take.
                         if cpu.as_us() > 0 {
-                            let m = self.first_touch_bulk(p, t_fault)?;
-                            let gen = self.procs[p].gen;
-                            self.queue
-                                .push(t_fault + cpu_per_page * m, Event::Dispatch { p, gen });
-                            return Ok(());
+                            let m = self.first_touch_bulk(p, t_fault, &mut ahead)?;
+                            if !self.dispatch(p, t_fault + cpu_per_page * m, &mut ahead) {
+                                return Ok(());
+                            }
                         }
                         continue;
                     }
                 }
             }
 
-            // Phase 2: pull the next program step.
-            let step = self.procs[p].program.next_step();
-            match step {
+            // Phase 2: pull the next program step. A barrier arrival or
+            // the program's end keeps its place in the global order, so an
+            // instant reached by running ahead queues the dispatch it
+            // stands for, counted when it pops.
+            if ahead.moved && self.procs[p].program.at_sync() {
+                self.events -= 1;
+                let gen = self.procs[p].gen;
+                self.queue.push(now, Event::Dispatch { p, gen });
+                return Ok(());
+            }
+            let wait = match self.procs[p].program.next_step() {
                 None => {
                     self.finish_proc(p)?;
                     return Ok(());
@@ -688,24 +729,13 @@ impl ClusterSim {
                         write,
                         cpu_per_page,
                     });
+                    continue;
                 }
-                Some(Step::Compute(d)) => {
-                    let gen = self.procs[p].gen;
-                    self.queue.push(now + d, Event::Dispatch { p, gen });
-                    return Ok(());
-                }
-                Some(Step::Exchange { bytes }) => {
-                    let d = self.cfg.net.xfer_dur(bytes);
-                    let gen = self.procs[p].gen;
-                    self.queue.push(now + d, Event::Dispatch { p, gen });
-                    return Ok(());
-                }
+                Some(Step::Compute(d)) => d,
+                Some(Step::Exchange { bytes }) => self.cfg.net.xfer_dur(bytes),
                 Some(Step::AllToAll { bytes_per_pair }) => {
                     let n = self.procs[p].program.spec().nprocs;
-                    let d = self.cfg.net.alltoall_dur(n, bytes_per_pair);
-                    let gen = self.procs[p].gen;
-                    self.queue.push(now + d, Event::Dispatch { p, gen });
-                    return Ok(());
+                    self.cfg.net.alltoall_dur(n, bytes_per_pair)
                 }
                 Some(Step::Barrier) => {
                     let job = self.procs[p].job.0 as usize;
@@ -739,9 +769,51 @@ impl ClusterSim {
                     if i > 0 {
                         self.procs[p].iterations_done = i;
                     }
+                    continue;
                 }
+            };
+            if !self.dispatch(p, now + wait, &mut ahead) {
+                return Ok(());
             }
         }
+    }
+
+    /// Process `p`'s next event is a `Dispatch` at `t`: move on to it
+    /// ([`ClusterSim::run_ahead`]) and return true, or queue it and
+    /// return false.
+    fn dispatch(&mut self, p: usize, t: SimTime, ahead: &mut Ahead) -> bool {
+        if self.run_ahead(p, t, ahead) {
+            return true;
+        }
+        let gen = self.procs[p].gen;
+        self.queue.push(t, Event::Dispatch { p, gen });
+        false
+    }
+
+    /// Whether process `p` moves on to its next event, at `t`, without a
+    /// queue round trip. It does when the run is unwatched, `t` is within
+    /// `max_sim_time`, and `t` comes strictly before the queue head or
+    /// else strictly before the lookahead bound of `p`'s node: then
+    /// nothing queued, nor anything a queued event leads to, touches the
+    /// node or the cluster before `t`. Moving on does the popped event's
+    /// bookkeeping: the event count, the clock and the job's progress.
+    /// `stop_pending` cannot be set meanwhile, since only queued events
+    /// switch, and they come at or after the bound.
+    fn run_ahead(&mut self, p: usize, t: SimTime, ahead: &mut Ahead) -> bool {
+        if self.watched || t.since(SimTime::ZERO) > self.cfg.max_sim_time {
+            return false;
+        }
+        if self.queue.peek_time().is_some_and(|head| t >= head) {
+            let ni = self.procs[p].node;
+            if ahead.bound(self, ni).is_some_and(|bound| t >= bound) {
+                return false;
+            }
+        }
+        self.now = t;
+        self.events += 1;
+        self.job_last_progress[self.procs[p].job.0 as usize] = t;
+        ahead.moved = true;
+        true
     }
 
     /// The bulk first-touch step. Process `p` has just zero-filled page A
@@ -751,16 +823,20 @@ impl ClusterSim {
     /// first m of those events at once (see
     /// [`PagingEngine::first_touch_run`]): the step advances m pages, the
     /// run counts m events, and the job's progress moves to the last
-    /// one's instant. Returns m; the caller pushes the next dispatch at
-    /// `t + m·c`.
+    /// one's instant. Returns m; the caller goes on to the next dispatch
+    /// at `t + m·c`.
     ///
     /// m stops before the touch of the step's last page, which ends the
     /// step the one-page way, before an event past `max_sim_time`, and
-    /// before the first event at or past [`ClusterSim::lookahead_bound`].
-    /// When something watches the event order (an observer, the invariant
-    /// sweep, a watchdog, or a fault plan, whose random streams serve
-    /// every node in turn) m is 0: such runs take the one-page path.
-    fn first_touch_bulk(&mut self, p: usize, t: SimTime) -> Result<u64, SimError> {
+    /// before the first event at or past [`ClusterSim::lookahead_bound`]
+    /// (scanned once per `exec` call). In a `watched` run m is 0: such
+    /// runs take the one-page path.
+    fn first_touch_bulk(
+        &mut self,
+        p: usize,
+        t: SimTime,
+        ahead: &mut Ahead,
+    ) -> Result<u64, SimError> {
         let Some(CurStep::Touch {
             first,
             len,
@@ -771,13 +847,9 @@ impl ClusterSim {
         else {
             return Ok(0);
         };
-        let watched = self.cfg.check_invariants
-            || self.watchdog.is_some()
-            || self.obs.enabled()
-            || self.injector.is_some();
         let ni = self.procs[p].node;
         let limit = SimTime::ZERO + self.cfg.max_sim_time;
-        if watched || self.cfg.chunk_pages < 2 || c.as_us() == 0 || t > limit {
+        if self.watched || self.cfg.chunk_pages < 2 || c.as_us() == 0 || t > limit {
             return Ok(0);
         }
         // The cheap bounds: the step's last page, the run's time limit,
@@ -795,10 +867,15 @@ impl ClusterSim {
         if max == 0 || next.idx() >= pt.len() || !pt.is_untouched(next) {
             return Ok(0);
         }
-        if let Some(bound) = self.lookahead_bound(ni) {
-            // Event j, at t + (j−1)·c, must come before the bound.
-            let before = bound.since(t).as_us();
-            max = max.min(before.saturating_sub(1) / c.as_us() + u64::from(before > 0));
+        // Event j, at t + (j−1)·c, must come before the bound. The bound
+        // is never before the queue head, so the scan is needed only when
+        // the last event reaches the head.
+        let last = t + c * (max - 1);
+        if self.queue.peek_time().is_some_and(|head| last >= head) {
+            if let Some(bound) = ahead.bound(self, ni) {
+                let before = bound.since(t).as_us();
+                max = max.min(before.saturating_sub(1) / c.as_us() + u64::from(before > 0));
+            }
         }
         let m = {
             let node = &mut self.nodes[ni];
@@ -822,29 +899,38 @@ impl ClusterSim {
     }
 
     /// The earliest instant at which a pending event could touch node
-    /// `ni`, or `None` for an empty queue. A stale `Dispatch` or `IoDone`
-    /// does nothing. A live one of a process on another node that is
-    /// inside a touch step counts at the earliest end of that step, its
-    /// instant plus the CPU of the pages left: until then the process
-    /// reads and writes only its own node. Every other event counts at
-    /// its own instant.
+    /// `ni` or meet another node, or `None` when none could. A stale
+    /// `Dispatch` or `IoDone` does nothing, and another node's `BgTick`
+    /// touches only its own node. A live `Dispatch` or `IoDone` of a
+    /// process on another node counts at its instant plus the CPU left
+    /// in its touch step plus [`ProcessProgram::cpu_before_sync`]: until
+    /// its next barrier or its end, that process reads and writes only
+    /// its own node. Every other event counts at its own instant, so the
+    /// bound is never before the queue head.
     fn lookahead_bound(&self, ni: usize) -> Option<SimTime> {
         self.queue
             .iter()
             .filter_map(|(at, ev)| match *ev {
                 Event::Dispatch { p, gen } | Event::IoDone { p, gen } => {
                     let q = &self.procs[p];
-                    match q.cur {
-                        _ if !q.live(gen) => None,
-                        Some(CurStep::Touch {
-                            len,
-                            done,
-                            cpu_per_page,
-                            ..
-                        }) if q.node != ni => Some(at + cpu_per_page * u64::from(len - done)),
-                        _ => Some(at),
+                    if !q.live(gen) {
+                        None
+                    } else if q.node == ni {
+                        Some(at)
+                    } else {
+                        let rest = match q.cur {
+                            Some(CurStep::Touch {
+                                len,
+                                done,
+                                cpu_per_page,
+                                ..
+                            }) => cpu_per_page * u64::from(len - done),
+                            None => SimDur::ZERO,
+                        };
+                        Some(at + rest + q.program.cpu_before_sync())
                     }
                 }
+                Event::BgTick { node, .. } if node != ni => None,
                 _ => Some(at),
             })
             .min()
@@ -872,7 +958,6 @@ impl ClusterSim {
         let proc = &mut self.procs[p];
         proc.state = PState::Done;
         proc.finished_at = Some(now);
-        proc.unblock_io(now);
         let job = proc.job;
         let done = self.job_procs[job.0 as usize]
             .iter()
@@ -1340,7 +1425,6 @@ impl ClusterSim {
                 let proc = &mut self.procs[p];
                 let rank = proc.rank;
                 proc.bump_gen();
-                proc.unblock_io(now);
                 proc.stop_pending = false;
                 proc.state = PState::Stopped;
                 proc.cur = None;
@@ -1702,22 +1786,34 @@ mod tests {
 
     #[test]
     fn invariant_sweep_runs_and_does_not_perturb() {
-        let checked = tiny_config(PolicyConfig::full(), ScheduleMode::Gang);
-        let mut plain = tiny_config(PolicyConfig::full(), ScheduleMode::Gang);
-        plain.check_invariants = false;
-        let a = ClusterSim::new(checked).unwrap().run().unwrap();
-        let b = ClusterSim::new(plain).unwrap().run().unwrap();
-        assert!(
-            a.invariant_checks > a.switches,
-            "per-switch + periodic + final sweeps: got {} over {} switches",
-            a.invariant_checks,
-            a.switches
-        );
-        assert_eq!(b.invariant_checks, 0, "sweeps are opt-in");
-        // The sweep only reads state: both runs must be identical.
-        assert_eq!(a.makespan, b.makespan);
-        assert_eq!(a.events, b.events);
-        assert_eq!(a.total_pages_in(), b.total_pages_in());
+        let mut two_node = parallel_cfg();
+        two_node.policy = PolicyConfig::full();
+        for checked in [
+            tiny_config(PolicyConfig::full(), ScheduleMode::Gang),
+            two_node,
+        ] {
+            let plain = ClusterConfig {
+                check_invariants: false,
+                ..checked.clone()
+            };
+            let a = ClusterSim::new(checked).unwrap().run().unwrap();
+            let b = ClusterSim::new(plain).unwrap().run().unwrap();
+            assert!(
+                a.invariant_checks > a.switches,
+                "per-switch + periodic + final sweeps: got {} over {} switches",
+                a.invariant_checks,
+                a.switches
+            );
+            assert_eq!(b.invariant_checks, 0, "sweeps are opt-in");
+            // The sweep only reads state, and the run without it, which
+            // runs ahead, is the same run.
+            assert!(
+                RunResult {
+                    invariant_checks: 0,
+                    ..a
+                } == b
+            );
+        }
     }
 
     /// A run with the invariant sweep takes the one-page path, so the
@@ -1826,8 +1922,9 @@ mod tests {
     }
 
     /// A generated multi-node config: 2–8 nodes of 64 MiB, two class A
-    /// parallel jobs of 2 up to all the nodes' ranks, gang or batch, a
-    /// paper policy on either baseline, and half the time a fault plan.
+    /// jobs of 1 (serial) up to all the nodes' ranks, gang or batch, a
+    /// paper policy on either baseline, a time limit that cuts the run
+    /// one time in four, and half the time a fault plan.
     fn generated_cfg(rng: &mut agp_sim::SimRng) -> ClusterConfig {
         let nodes = rng.range(2, 9) as u32;
         let mut cfg = ClusterConfig::paper_defaults(nodes);
@@ -1845,11 +1942,16 @@ mod tests {
             .map(|i| {
                 let bench =
                     *rng.pick(&[Benchmark::CG, Benchmark::IS, Benchmark::MG, Benchmark::LU]);
-                let ranks = rng.range(2, u64::from(nodes) + 1) as u32;
+                let ranks = rng.range(1, u64::from(nodes) + 1) as u32;
                 let w = WorkloadSpec::parallel(bench, Class::A, ranks);
                 JobSpec::new(format!("{bench}.A x{ranks} #{i}"), w)
             })
             .collect();
+        if rng.chance(0.25) {
+            // Cut the run anywhere from its first sweep to its last
+            // iterations (class A pairs take tens to hundreds of seconds).
+            cfg.max_sim_time = SimDur::from_ms(rng.range(500, 300_000));
+        }
         if rng.chance(0.5) {
             let mut plan = FaultPlan::empty(rng.next_u64_raw());
             let (node, from_us) = (rng.below(u64::from(nodes)) as u32, rng.below(20_000_000));
@@ -1885,12 +1987,14 @@ mod tests {
         cfg
     }
 
-    /// Neither the bulk first touch nor observation changes a run: the
-    /// unobserved run (bulk steps under the lookahead bound unless the
-    /// config has a fault plan), the observed run and the
-    /// invariant-checked run (both the one-page path) of a generated
+    /// Neither running ahead, nor the bulk first touch, nor observation
+    /// changes a run: the unobserved run (both under the lookahead bound
+    /// unless the config has a fault plan), the observed run and the
+    /// invariant-checked run (both one event at a time) of a generated
     /// config return equal results in every field but the sweep count,
-    /// or the same error.
+    /// or the same error. Serial jobs end without a barrier, time limits
+    /// stop runs mid-iteration, and quanta shorter than an I/O wait land
+    /// switches between a fault and its completion.
     #[test]
     fn observer_does_not_perturb_the_simulation() {
         agp_sim::prop::check("observer_does_not_perturb_the_simulation", 16, |rng| {
@@ -1926,6 +2030,109 @@ mod tests {
                 ),
             }
         });
+    }
+
+    /// A time limit cuts a run that runs ahead where it cuts one that
+    /// does not: a two-node LU.A run past `max_sim_time` fails at the same
+    /// instant unwatched and observed.
+    #[test]
+    fn run_ahead_stops_at_the_time_limit() {
+        let mut cfg = ClusterConfig::paper_defaults(2);
+        cfg.mem_mib = 64;
+        cfg.wired_mib = 24;
+        cfg.quantum = SimDur::from_secs(5);
+        let lu = WorkloadSpec::parallel(Benchmark::LU, Class::A, 2);
+        cfg.jobs = vec![
+            JobSpec::new("LU.A x2 #1", lu),
+            JobSpec::new("LU.A x2 #2", lu),
+        ];
+        cfg.max_sim_time = SimDur::from_ms(47_500);
+        let plain = ClusterSim::new(cfg.clone()).and_then(ClusterSim::run);
+        let observed = crate::run_observed(
+            cfg,
+            &agp_obs::ObsLink::to(agp_obs::shared(agp_obs::Collector::new())),
+        );
+        match (plain, observed) {
+            (
+                Err(SimError::SimTimeExceeded { at_us: a, .. }),
+                Err(SimError::SimTimeExceeded { at_us: b, .. }),
+            ) => {
+                assert_eq!(a, b);
+                assert!(a > 47_500_000, "{a}");
+            }
+            (a, b) => panic!("expected two time-limit errors: {a:?}, {b:?}"),
+        }
+    }
+
+    /// The lookahead bound's terms, on two nodes that each hold one rank
+    /// of two LU.A jobs (process `2j + r` is rank r of job j, on node r).
+    #[test]
+    fn lookahead_bound_counts_each_event_by_its_reach() {
+        let mut cfg = ClusterConfig::paper_defaults(2);
+        let lu = WorkloadSpec::parallel(Benchmark::LU, Class::A, 2);
+        cfg.jobs = vec![
+            JobSpec::new("LU.A x2 #1", lu),
+            JobSpec::new("LU.A x2 #2", lu),
+        ];
+        let mut sim = ClusterSim::new(cfg).unwrap();
+        let at = |s| SimTime::ZERO + SimDur::from_secs(s);
+        assert_eq!(sim.lookahead_bound(0), None, "empty queue");
+
+        // A stale event counts for nothing.
+        let stale = sim.procs[1].gen + 1;
+        sim.queue.push(at(1), Event::Dispatch { p: 1, gen: stale });
+        assert_eq!(sim.lookahead_bound(0), None);
+        assert_eq!(sim.lookahead_bound(1), None);
+
+        // Another node's BgTick counts for nothing; the node's own counts
+        // at its instant.
+        sim.queue.push(at(2), Event::BgTick { node: 1, sgen: 0 });
+        assert_eq!(sim.lookahead_bound(0), None);
+        assert_eq!(sim.lookahead_bound(1), Some(at(2)));
+
+        // Rank 1 of job 0, on node 1, 100 pages into its first sweep of
+        // iteration 1: the rest of the sweep and the second sweep, queued
+        // before its barrier, come before it meets node 0.
+        let prog = &mut sim.procs[1].program;
+        while !matches!(prog.next_step(), Some(Step::EndIteration(0))) {}
+        let Some(Step::Touch {
+            first,
+            len,
+            write,
+            cpu_per_page,
+        }) = prog.next_step()
+        else {
+            panic!("an LU iteration starts with a sweep");
+        };
+        let before_sync = prog.cpu_before_sync();
+        assert_eq!(before_sync, cpu_per_page * u64::from(len), "one more sweep");
+        sim.procs[1].cur = Some(CurStep::Touch {
+            first,
+            len,
+            done: 100,
+            write,
+            cpu_per_page,
+        });
+        let gen = sim.procs[1].gen;
+        sim.queue.push(at(3), Event::Dispatch { p: 1, gen });
+        let reach = at(3) + cpu_per_page * u64::from(len - 100) + before_sync;
+        assert_eq!(sim.lookahead_bound(0), Some(reach));
+        assert_eq!(sim.lookahead_bound(1), Some(at(2)));
+
+        // A same-node event counts at its instant, here before that reach,
+        // though its process has CPU queued before its next barrier.
+        let io = at(3) + SimDur::from_ms(100);
+        assert!(io < reach);
+        let prog = &mut sim.procs[2].program;
+        while !matches!(prog.next_step(), Some(Step::EndIteration(0))) {}
+        prog.next_step();
+        assert!(prog.cpu_before_sync() > SimDur::ZERO);
+        let gen = sim.procs[2].gen;
+        sim.queue.push(io, Event::IoDone { p: 2, gen });
+        assert_eq!(sim.lookahead_bound(0), Some(io));
+        // Every other event counts at its own instant.
+        sim.queue.push(at(1), Event::QuantumExpire { sgen: 0 });
+        assert_eq!(sim.lookahead_bound(0), Some(at(1)));
     }
 
     #[test]

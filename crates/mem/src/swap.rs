@@ -22,6 +22,10 @@ pub struct SwapSpace {
     /// The vector grows to the highest block ever allocated; blocks past
     /// its end are free.
     used: Vec<u64>,
+    /// No block below this one is free: `free_extent` lowers it and
+    /// `alloc` moves it up to the first free block, so no allocation
+    /// rescans the allocated prefix.
+    first_free: u64,
     free_blocks: u64,
     total: u64,
 }
@@ -31,6 +35,7 @@ impl SwapSpace {
     pub fn new(total: u64) -> Self {
         SwapSpace {
             used: Vec::new(),
+            first_free: 0,
             free_blocks: total,
             total,
         }
@@ -79,15 +84,16 @@ impl SwapSpace {
                 free: self.free_blocks,
             });
         }
+        self.first_free = self.seek(self.first_free, false);
         // First-fit for a single run that covers the request.
-        let fit = self.runs().find(|&(_, len)| len >= n);
+        let fit = self.runs(self.first_free).find(|&(_, len)| len >= n);
         if let Some((start, _)) = fit {
             self.take(start, n);
             return Ok(vec![Extent::new(start, n)]);
         }
         // Fragmented path: grab largest runs first to minimize the number
         // of pieces.
-        let mut by_len: Vec<(u64, u64)> = self.runs().map(|(s, l)| (l, s)).collect();
+        let mut by_len: Vec<(u64, u64)> = self.runs(self.first_free).map(|(s, l)| (l, s)).collect();
         by_len.sort_unstable_by(|a, b| b.cmp(a));
         let mut out = Vec::new();
         let mut remaining = n;
@@ -152,11 +158,13 @@ impl SwapSpace {
             }
         }
         self.free_blocks += e.len;
+        self.first_free = self.first_free.min(e.start);
     }
 
-    /// The maximal free runs `(start, len)`, in block order.
-    fn runs(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        let mut at = 0;
+    /// The maximal free runs `(start, len)` at or after block `from`, in
+    /// block order.
+    fn runs(&self, from: u64) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let mut at = from;
         std::iter::from_fn(move || {
             let start = self.seek(at, false);
             (start < self.total).then(|| {
@@ -192,7 +200,7 @@ impl SwapSpace {
     /// Number of maximal free runs (fragmentation indicator, used in
     /// tests and metrics).
     pub fn fragments(&self) -> usize {
-        self.runs().count()
+        self.runs(self.first_free).count()
     }
 }
 

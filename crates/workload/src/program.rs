@@ -55,6 +55,10 @@ pub struct ProcessProgram {
     /// 1..=iters_total).
     next_iter: u32,
     queue: VecDeque<Step>,
+    /// CPU of the queued steps before the first queued `Barrier`, or of
+    /// all of them when none is queued (see
+    /// [`ProcessProgram::cpu_before_sync`]).
+    cpu_before_sync: SimDur,
     rng: SimRng,
 }
 
@@ -71,6 +75,7 @@ impl ProcessProgram {
             iters_total: spec.iterations(),
             next_iter: 0,
             queue: VecDeque::new(),
+            cpu_before_sync: SimDur::ZERO,
             rng: SimRng::new(seed).fork(rank as u64 + 1),
         }
     }
@@ -102,19 +107,71 @@ impl ProcessProgram {
     pub fn next_step(&mut self) -> Option<Step> {
         loop {
             if let Some(s) = self.queue.pop_front() {
+                if s == Step::Barrier {
+                    self.cpu_before_sync = self.queued_cpu();
+                } else {
+                    self.cpu_before_sync -= step_cpu(&s);
+                }
                 return Some(s);
             }
-            if self.next_iter > self.iters_total {
+            if !self.generate() {
                 return None;
             }
-            let iter = self.next_iter;
-            self.next_iter += 1;
-            if iter == 0 {
-                self.gen_init();
-            } else {
-                self.gen_iteration(iter);
+        }
+    }
+
+    /// Whether the next step past any `EndIteration` markers is a
+    /// `Barrier`, or the program ends first: the two steps at which a
+    /// rank meets the rest of the cluster. Generates the next iteration
+    /// when the queue holds nothing else, which changes no step.
+    pub fn at_sync(&mut self) -> bool {
+        loop {
+            let next = self
+                .queue
+                .iter()
+                .find(|s| !matches!(s, Step::EndIteration(_)));
+            if let Some(s) = next {
+                return *s == Step::Barrier;
+            }
+            if !self.generate() {
+                return true;
             }
         }
+    }
+
+    /// A lower bound on the CPU this rank spends from its current step's
+    /// end to its next barrier or its end: the CPU of the steps already
+    /// queued before the next `Barrier` (a touch run's pages times their
+    /// CPU, a computation's length). Communication counts 0, since its
+    /// length depends on the network, and steps not yet generated count
+    /// nothing. Kept up to date as steps are pulled.
+    pub fn cpu_before_sync(&self) -> SimDur {
+        self.cpu_before_sync
+    }
+
+    /// Queue the next iteration's steps; false once none is left.
+    fn generate(&mut self) -> bool {
+        if self.next_iter > self.iters_total {
+            return false;
+        }
+        let iter = self.next_iter;
+        self.next_iter += 1;
+        if iter == 0 {
+            self.gen_init();
+        } else {
+            self.gen_iteration(iter);
+        }
+        self.cpu_before_sync = self.queued_cpu();
+        true
+    }
+
+    /// CPU of the queued steps before the first queued `Barrier`.
+    fn queued_cpu(&self) -> SimDur {
+        self.queue
+            .iter()
+            .take_while(|s| **s != Step::Barrier)
+            .map(step_cpu)
+            .sum()
     }
 
     /// The init pass: every benchmark starts by allocating and writing its
@@ -228,6 +285,18 @@ impl ProcessProgram {
         } else {
             sweep * p.sweeps as u64
         }
+    }
+}
+
+/// The CPU a step costs: a touch run's pages times their CPU, or a
+/// computation's length; 0 for every other step.
+fn step_cpu(s: &Step) -> SimDur {
+    match *s {
+        Step::Touch {
+            len, cpu_per_page, ..
+        } => cpu_per_page * u64::from(len),
+        Step::Compute(d) => d,
+        _ => SimDur::ZERO,
     }
 }
 
@@ -446,6 +515,47 @@ mod tests {
             .filter(|s| matches!(s, Step::Touch { .. }))
             .count();
         assert_eq!(sweeps, 3);
+    }
+
+    /// `cpu_before_sync` is a lower bound on the CPU of the steps left
+    /// before the next barrier or the end, and exact while they are all
+    /// queued: drained step by step for every benchmark, serial and on
+    /// four ranks, with `at_sync` generating some iterations early.
+    #[test]
+    fn cpu_before_sync_bounds_the_cpu_to_the_next_barrier() {
+        for bench in Benchmark::ALL {
+            for spec in [
+                WorkloadSpec::serial(bench, Class::A),
+                WorkloadSpec::parallel(bench, Class::A, 4),
+            ] {
+                let mut p = ProcessProgram::new(spec, spec.nprocs - 1, 11);
+                let mut all = p.clone();
+                let steps: Vec<Step> = std::iter::from_fn(|| all.next_step()).collect();
+                // exact[k]: CPU of steps[k..] up to the next Barrier.
+                let mut exact = vec![SimDur::ZERO; steps.len() + 1];
+                for k in (0..steps.len()).rev() {
+                    if steps[k] != Step::Barrier {
+                        exact[k] = step_cpu(&steps[k]) + exact[k + 1];
+                    }
+                }
+                for (k, want) in exact.iter().enumerate() {
+                    let got = p.cpu_before_sync();
+                    let whole = p.queue.contains(&Step::Barrier) || p.next_iter > p.iters_total;
+                    assert!(got <= *want, "{spec} step {k}: {got} > {want}");
+                    if whole {
+                        assert_eq!(got, *want, "{spec} step {k}: not exact");
+                    }
+                    if k % 3 == 0 {
+                        let sync = p.at_sync();
+                        let next = steps[k..]
+                            .iter()
+                            .find(|s| !matches!(s, Step::EndIteration(_)));
+                        assert_eq!(sync, next.is_none_or(|s| *s == Step::Barrier));
+                    }
+                    assert_eq!(p.next_step(), steps.get(k).copied());
+                }
+            }
+        }
     }
 
     #[test]

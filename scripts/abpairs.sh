@@ -5,6 +5,7 @@
 #   bash scripts/abpairs.sh HEAD~1 .                        # every workload, 5 pairs of 6 s runs
 #   bash scripts/abpairs.sh -n 8 -s 6 main . global_lru     # one workload, 8 pairs
 #   bash scripts/abpairs.sh -S 7 HEAD . resident             # both sides at seed 7
+#   bash scripts/abpairs.sh -p 1 HEAD . resident             # both sides pinned to CPU 1
 #
 # REV_A and REV_B are git revisions; `.` is the working tree (tracked
 # and untracked files that git does not ignore). Each side is copied into
@@ -13,7 +14,11 @@
 # Every round runs each workload once per side through that side's
 # `simbench/run.sh --workload W --trace 0 --seconds SECONDS`, A first in
 # odd rounds and B first in even ones; with `-S SEED` both sides also get
-# `--seed SEED` (a claim should hold at a seed it was not tuned on). The summary gives, per workload
+# `--seed SEED` (a claim should hold at a seed it was not tuned on). With
+# `-p CPU` both sides run under `taskset -c CPU`, so that neither moves
+# between CPUs mid-run: on a small shared host unpinned runs can fall into
+# two speed modes, which hides a change inside the spread between them.
+# The summary gives, per workload
 # and end-to-end metric of BENCHMARK.json, the median and minimum of
 # each side, the distance between A's quartiles, B/A of the medians, and
 # in how many pairs B was better.
@@ -21,18 +26,20 @@
 set -euo pipefail
 
 usage() {
-    echo "usage: $0 [-n ROUNDS] [-s SECONDS] [-S SEED] REV_A REV_B [WORKLOAD...]" >&2
+    echo "usage: $0 [-n ROUNDS] [-s SECONDS] [-S SEED] [-p CPU] REV_A REV_B [WORKLOAD...]" >&2
     exit 2
 }
 
 rounds=5
 seconds=6
 seed_args=()
-while getopts "n:s:S:" opt; do
+pin=()
+while getopts "n:s:S:p:" opt; do
     case "$opt" in
         n) rounds="$OPTARG" ;;
         s) seconds="$OPTARG" ;;
         S) seed_args=(--seed "$OPTARG") ;;
+        p) pin=(taskset -c "$OPTARG") ;;
         *) usage ;;
     esac
 done
@@ -43,6 +50,10 @@ shift 2
 
 if ! command -v jq > /dev/null; then
     echo "abpairs.sh: jq not found" >&2
+    exit 1
+fi
+if [[ ${#pin[@]} -gt 0 ]] && ! command -v taskset > /dev/null; then
+    echo "abpairs.sh: -p needs taskset" >&2
     exit 1
 fi
 
@@ -86,8 +97,8 @@ wall=()
 run() {
     local line
     line="$(CARGO_TARGET_DIR="$tmp/$1/target" \
-        bash "$tmp/$1/src/simbench/run.sh" --workload "$2" --trace 0 --seconds "$seconds" \
-        "${seed_args[@]}" | tail -n 1)"
+        "${pin[@]}" bash "$tmp/$1/src/simbench/run.sh" --workload "$2" --trace 0 \
+        --seconds "$seconds" "${seed_args[@]}" | tail -n 1)"
     echo "$line" >> "$tmp/$1.$2.jsonl"
     if ! jq -e '.correct == true' <<< "$line" > /dev/null; then
         echo "abpairs.sh: ${revs[$1]} $2: \"correct\" is not true" >&2
@@ -110,7 +121,7 @@ for ((r = 1; r <= rounds; r++)); do
     done
 done
 
-echo "A = ${revs[0]}, B = ${revs[1]}: $rounds alternating pairs of $seconds s runs ${seed_args[*]}"
+echo "A = ${revs[0]}, B = ${revs[1]}: $rounds alternating pairs of $seconds s runs ${seed_args[*]} ${pin[*]}"
 printf '%-12s %-17s %11s %11s %11s %11s %11s %7s %6s\n' \
     workload metric A_median A_min A_IQR B_median B_min B/A B_wins
 for w in "${workloads[@]}"; do
