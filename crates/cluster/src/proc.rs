@@ -2,7 +2,7 @@
 
 use agp_mem::ProcId;
 use agp_sim::{SimDur, SimTime};
-use agp_workload::ProcessProgram;
+use agp_workload::{ProcessProgram, Step};
 use gang_ids::JobId;
 
 // The gang crate names; re-exported locally to keep imports tidy.
@@ -95,6 +95,30 @@ impl SimProc {
             stop_pending: false,
             finished_at: None,
             iterations_done: 0,
+        }
+    }
+
+    /// The current touch step, or else the program's next step if it is
+    /// a `Touch` ([`ProcessProgram::pop_touch`]), with nothing done yet.
+    #[inline]
+    pub fn touch_step(&mut self) -> Option<CurStep> {
+        if self.cur.is_some() {
+            return self.cur;
+        }
+        match self.program.pop_touch()? {
+            Step::Touch {
+                first,
+                len,
+                write,
+                cpu_per_page,
+            } => Some(CurStep::Touch {
+                first,
+                len,
+                done: 0,
+                write,
+                cpu_per_page,
+            }),
+            _ => None,
         }
     }
 

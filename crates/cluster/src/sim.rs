@@ -114,12 +114,16 @@ fn perf_span(ev: &Event) -> agp_perf::Span {
     }
 }
 
-/// What one `exec` call knows about running its process ahead.
-#[derive(Default)]
+/// What one `exec` call knows about running its process ahead. Nothing
+/// is pushed while the process runs ahead, so neither the queue head nor
+/// the lookahead bound can move within the call.
 struct Ahead {
+    /// The last instant the process may run ahead to: the run's time
+    /// limit, or `None` in a watched run, which never runs ahead.
+    limit: Option<SimTime>,
+    /// The queue head when the call began.
+    head: Option<SimTime>,
     /// The lookahead bound of the process's node, scanned on first use.
-    /// Nothing is pushed while the process runs ahead, so it cannot move
-    /// within the call.
     bound: Option<Option<SimTime>>,
     /// Whether the process reached the current instant by running ahead
     /// rather than by a popped event.
@@ -127,10 +131,47 @@ struct Ahead {
 }
 
 impl Ahead {
+    fn new(sim: &ClusterSim) -> Self {
+        Ahead {
+            limit: (!sim.watched).then(|| SimTime::ZERO + sim.cfg.max_sim_time),
+            head: sim.queue.peek_time(),
+            bound: None,
+            moved: false,
+        }
+    }
+
+    /// Whether the process may move on to `t` ([`ClusterSim::run_ahead`]),
+    /// or `None` when that takes the bound and it is not scanned yet.
+    fn allows(&self, t: SimTime) -> Option<bool> {
+        if self.limit.is_none_or(|limit| t > limit) {
+            return Some(false);
+        }
+        if self.head.is_none_or(|head| t < head) {
+            return Some(true);
+        }
+        self.bound.map(|bound| bound.is_none_or(|b| t < b))
+    }
+
     /// Node `ni`'s lookahead bound, scanned once.
     fn bound(&mut self, sim: &ClusterSim, ni: usize) -> Option<SimTime> {
         *self.bound.get_or_insert_with(|| sim.lookahead_bound(ni))
     }
+}
+
+/// Where a touch phase ([`ClusterSim::touch_phase`]) stopped.
+enum TouchStop {
+    /// At a step that is not a `Touch`, or at the program's end.
+    Step,
+    /// At a fault of page `page`, the current step's next, raised after
+    /// `cpu` of hits; the step's pages cost `cpu_per_page` each.
+    Fault {
+        page: PageNum,
+        cpu: SimDur,
+        cpu_per_page: SimDur,
+    },
+    /// At a chunk's `Dispatch`, at this instant, that the phase did not
+    /// run ahead to: it cannot, or deciding takes the lookahead bound.
+    Dispatch(SimTime),
 }
 
 /// With `check_invariants` on, sweep every node once per this many events
@@ -596,108 +637,27 @@ impl ClusterSim {
             proc.state = PState::Stopped;
             return Ok(());
         }
-        let mut ahead = Ahead::default();
+        let mut ahead = Ahead::new(self);
         loop {
-            let now = self.now;
-            // Phase 1: continue a partial touch run.
-            if let Some(CurStep::Touch {
-                first,
-                len,
-                done,
-                write,
-                cpu_per_page,
-            }) = self.procs[p].cur
-            {
-                let pid = self.procs[p].pid;
-                let ni = self.procs[p].node;
-                let remaining = (len - done) as usize;
-                let chunk = remaining.min(self.cfg.chunk_pages as usize);
-                let (hits, fault) = self.nodes[ni]
-                    .kernel
-                    .touch_run(pid, PageNum(first + done), chunk, write, now)
-                    .map_err(mem_err("touch_run", ni, now))?;
-                let cpu = cpu_per_page * hits as u64;
-                let new_done = done + hits as u32;
-
-                match fault {
-                    None => {
-                        if new_done == len {
-                            self.procs[p].cur = None;
-                        } else {
-                            self.procs[p].cur = Some(CurStep::Touch {
-                                first,
-                                len,
-                                done: new_done,
-                                write,
-                                cpu_per_page,
-                            });
-                        }
-                        if cpu.as_us() > 0 && !self.dispatch(p, now + cpu, &mut ahead) {
-                            return Ok(());
-                        }
-                        continue;
+            // Phase 1: the current touch step and the `Touch` steps after
+            // it.
+            match self.touch_phase(p, &mut ahead)? {
+                TouchStop::Step => {}
+                TouchStop::Dispatch(t) => {
+                    if !self.dispatch(p, t, &mut ahead) {
+                        return Ok(());
                     }
-                    Some(_) => {
-                        // Fault at page first+new_done, occurring after the
-                        // CPU burn of the hits that preceded it.
-                        self.procs[p].cur = Some(CurStep::Touch {
-                            first,
-                            len,
-                            done: new_done,
-                            write,
-                            cpu_per_page,
-                        });
-                        let t_fault = now + cpu;
-                        let fpage = PageNum(first + new_done);
-                        let mut plan = {
-                            let node = &mut self.nodes[ni];
-                            node.engine
-                                .on_fault(&mut node.kernel, pid, fpage, t_fault)
-                                .map_err(mem_err("on_fault", ni, t_fault))?
-                        };
-                        let mut completion = t_fault;
-                        if !plan.writes.is_empty() {
-                            let req = DiskRequest::write(std::mem::take(&mut plan.writes));
-                            let pages = req.pages();
-                            let c = self.submit_io(ni, t_fault, &req);
-                            self.nodes[ni].trace.record_out(c, pages);
-                            completion = completion.max(c);
-                        }
-                        if !plan.reads.is_empty() {
-                            let req = DiskRequest::read(std::mem::take(&mut plan.reads));
-                            let pages = req.pages();
-                            let c = self.submit_io(ni, t_fault, &req);
-                            self.nodes[ni].trace.record_in(c, pages);
-                            completion = completion.max(c);
-                        }
-                        if completion > t_fault {
-                            self.obs.emit(t_fault, || ObsEvent::FaultService {
-                                pid: pid.0,
-                                page: fpage.0,
-                                wait_us: completion.since(t_fault).as_us(),
-                            });
-                            // Running ahead to the I/O completion skips the
-                            // block as well as the `IoDone`.
-                            if !self.run_ahead(p, completion, &mut ahead) {
-                                self.procs[p].block_io();
-                                let gen = self.procs[p].gen;
-                                self.queue.push(completion, Event::IoDone { p, gen });
-                                return Ok(());
-                            }
-                            continue;
-                        }
-                        // Pure zero-fill: the page is mapped; charge any
-                        // CPU and keep going, through as many of the
-                        // first touches that follow as the bulk step may
-                        // take.
-                        if cpu.as_us() > 0 {
-                            let m = self.first_touch_bulk(p, t_fault, &mut ahead)?;
-                            if !self.dispatch(p, t_fault + cpu_per_page * m, &mut ahead) {
-                                return Ok(());
-                            }
-                        }
-                        continue;
+                    continue;
+                }
+                TouchStop::Fault {
+                    page,
+                    cpu,
+                    cpu_per_page,
+                } => {
+                    if !self.touch_fault(p, page, cpu, cpu_per_page, &mut ahead)? {
+                        return Ok(());
                     }
+                    continue;
                 }
             }
 
@@ -705,6 +665,7 @@ impl ClusterSim {
             // the program's end keeps its place in the global order, so an
             // instant reached by running ahead queues the dispatch it
             // stands for, counted when it pops.
+            let now = self.now;
             if ahead.moved && self.procs[p].program.at_sync() {
                 self.events -= 1;
                 let gen = self.procs[p].gen;
@@ -716,6 +677,8 @@ impl ClusterSim {
                     self.finish_proc(p)?;
                     return Ok(());
                 }
+                // Never taken, since the touch phase pulls every `Touch`;
+                // one pulled here would start as one pulled there.
                 Some(Step::Touch {
                     first,
                     len,
@@ -778,6 +741,140 @@ impl ClusterSim {
         }
     }
 
+    /// The touch phase of process `p`: its current touch step, then each
+    /// `Touch` step that follows ([`ProcessProgram::pop_touch`]), in
+    /// chunks of at most `chunk_pages`, through one page-table handle.
+    /// Each chunk touches its resident prefix at the current instant, and
+    /// a chunk with CPU is one event: the process's `Dispatch` at the end
+    /// of that CPU. The phase runs ahead to it when [`Ahead::allows`] it,
+    /// doing the event's bookkeeping ([`ClusterSim::ran_ahead`]) once
+    /// for all the chunks it ran through. It stops at a fault, at a step
+    /// that is not a `Touch`, and at a dispatch that cannot run ahead or
+    /// whose answer takes the lookahead bound, which the caller scans
+    /// with the handle dropped. A call with no touch step to run opens
+    /// no `MemTouch` span and looks up no page table.
+    fn touch_phase(&mut self, p: usize, ahead: &mut Ahead) -> Result<TouchStop, SimError> {
+        let Some(mut step) = self.procs[p].touch_step() else {
+            return Ok(TouchStop::Step);
+        };
+        let _perf = agp_perf::scope(agp_perf::Span::MemTouch);
+        let (pid, ni) = (self.procs[p].pid, self.procs[p].node);
+        let chunk_pages = self.cfg.chunk_pages as usize;
+        let mut now = self.now;
+        let mut moves = 0;
+        let mut pt = self.nodes[ni]
+            .kernel
+            .toucher(pid)
+            .map_err(mem_err("touch_run", ni, now))?;
+        let proc = &mut self.procs[p];
+        let stop = loop {
+            let CurStep::Touch {
+                first,
+                len,
+                done,
+                write,
+                cpu_per_page,
+            } = step;
+            let chunk = ((len - done) as usize).min(chunk_pages);
+            let (hits, fault) = pt
+                .touch_run(PageNum(first + done), chunk, write, now)
+                .map_err(mem_err("touch_run", ni, now))?;
+            let cpu = cpu_per_page * hits as u64;
+            let done = done + hits as u32;
+            proc.cur = (done < len).then_some(CurStep::Touch {
+                first,
+                len,
+                done,
+                write,
+                cpu_per_page,
+            });
+            if fault.is_some() {
+                break TouchStop::Fault {
+                    page: PageNum(first + done),
+                    cpu,
+                    cpu_per_page,
+                };
+            }
+            if cpu.as_us() > 0 {
+                let t = now + cpu;
+                if ahead.allows(t) != Some(true) {
+                    break TouchStop::Dispatch(t);
+                }
+                now = t;
+                moves += 1;
+            }
+            match proc.touch_step() {
+                Some(next) => step = next,
+                None => break TouchStop::Step,
+            }
+        };
+        if moves > 0 {
+            self.ran_ahead(p, now, moves, ahead);
+        }
+        Ok(stop)
+    }
+
+    /// The fault of process `p` at `page` of its current touch step,
+    /// raised after `cpu` of hits from the current instant. Returns
+    /// whether `p` goes on executing: false once its `IoDone` or its next
+    /// `Dispatch` is queued.
+    fn touch_fault(
+        &mut self,
+        p: usize,
+        page: PageNum,
+        cpu: SimDur,
+        cpu_per_page: SimDur,
+        ahead: &mut Ahead,
+    ) -> Result<bool, SimError> {
+        let (pid, ni) = (self.procs[p].pid, self.procs[p].node);
+        let t_fault = self.now + cpu;
+        let mut plan = {
+            let node = &mut self.nodes[ni];
+            node.engine
+                .on_fault(&mut node.kernel, pid, page, t_fault)
+                .map_err(mem_err("on_fault", ni, t_fault))?
+        };
+        let mut completion = t_fault;
+        if !plan.writes.is_empty() {
+            let req = DiskRequest::write(std::mem::take(&mut plan.writes));
+            let pages = req.pages();
+            let c = self.submit_io(ni, t_fault, &req);
+            self.nodes[ni].trace.record_out(c, pages);
+            completion = completion.max(c);
+        }
+        if !plan.reads.is_empty() {
+            let req = DiskRequest::read(std::mem::take(&mut plan.reads));
+            let pages = req.pages();
+            let c = self.submit_io(ni, t_fault, &req);
+            self.nodes[ni].trace.record_in(c, pages);
+            completion = completion.max(c);
+        }
+        if completion > t_fault {
+            self.obs.emit(t_fault, || ObsEvent::FaultService {
+                pid: pid.0,
+                page: page.0,
+                wait_us: completion.since(t_fault).as_us(),
+            });
+            // Running ahead to the I/O completion skips the block as well
+            // as the `IoDone`.
+            if !self.run_ahead(p, completion, ahead) {
+                self.procs[p].block_io();
+                let gen = self.procs[p].gen;
+                self.queue.push(completion, Event::IoDone { p, gen });
+                return Ok(false);
+            }
+            return Ok(true);
+        }
+        // Pure zero-fill: the page is mapped; charge any CPU and keep
+        // going, through as many of the first touches that follow as the
+        // bulk step may take.
+        if cpu.as_us() > 0 {
+            let m = self.first_touch_bulk(p, t_fault, ahead)?;
+            return Ok(self.dispatch(p, t_fault + cpu_per_page * m, ahead));
+        }
+        Ok(true)
+    }
+
     /// Process `p`'s next event is a `Dispatch` at `t`: move on to it
     /// ([`ClusterSim::run_ahead`]) and return true, or queue it and
     /// return false.
@@ -795,25 +892,30 @@ impl ClusterSim {
     /// `max_sim_time`, and `t` comes strictly before the queue head or
     /// else strictly before the lookahead bound of `p`'s node: then
     /// nothing queued, nor anything a queued event leads to, touches the
-    /// node or the cluster before `t`. Moving on does the popped event's
-    /// bookkeeping: the event count, the clock and the job's progress.
-    /// `stop_pending` cannot be set meanwhile, since only queued events
-    /// switch, and they come at or after the bound.
+    /// node or the cluster before `t`. `stop_pending` cannot be set
+    /// meanwhile, since only queued events switch, and they come at or
+    /// after the bound.
     fn run_ahead(&mut self, p: usize, t: SimTime, ahead: &mut Ahead) -> bool {
-        if self.watched || t.since(SimTime::ZERO) > self.cfg.max_sim_time {
-            return false;
+        let go = match ahead.allows(t) {
+            Some(go) => go,
+            None => ahead
+                .bound(self, self.procs[p].node)
+                .is_none_or(|bound| t < bound),
+        };
+        if go {
+            self.ran_ahead(p, t, 1, ahead);
         }
-        if self.queue.peek_time().is_some_and(|head| t >= head) {
-            let ni = self.procs[p].node;
-            if ahead.bound(self, ni).is_some_and(|bound| t >= bound) {
-                return false;
-            }
-        }
+        go
+    }
+
+    /// The bookkeeping of `n` events of process `p` that it ran through
+    /// without a queue round trip, the last at `t`: the event count, the
+    /// clock and the job's progress, as if each had popped.
+    fn ran_ahead(&mut self, p: usize, t: SimTime, n: u64, ahead: &mut Ahead) {
         self.now = t;
-        self.events += 1;
+        self.events += n;
         self.job_last_progress[self.procs[p].job.0 as usize] = t;
         ahead.moved = true;
-        true
     }
 
     /// The bulk first-touch step. Process `p` has just zero-filled page A
@@ -848,8 +950,10 @@ impl ClusterSim {
             return Ok(0);
         };
         let ni = self.procs[p].node;
-        let limit = SimTime::ZERO + self.cfg.max_sim_time;
-        if self.watched || self.cfg.chunk_pages < 2 || c.as_us() == 0 || t > limit {
+        let Some(limit) = ahead.limit else {
+            return Ok(0);
+        };
+        if self.cfg.chunk_pages < 2 || c.as_us() == 0 || t > limit {
             return Ok(0);
         }
         // The cheap bounds: the step's last page, the run's time limit,
@@ -871,7 +975,7 @@ impl ClusterSim {
         // is never before the queue head, so the scan is needed only when
         // the last event reaches the head.
         let last = t + c * (max - 1);
-        if self.queue.peek_time().is_some_and(|head| last >= head) {
+        if ahead.head.is_some_and(|head| last >= head) {
             if let Some(bound) = ahead.bound(self, ni) {
                 let before = bound.since(t).as_us();
                 max = max.min(before.saturating_sub(1) / c.as_us() + u64::from(before > 0));
@@ -1987,6 +2091,54 @@ mod tests {
         cfg
     }
 
+    /// [`generated_cfg`] with room for every rank (two class A ranks take
+    /// at most 2 × 57 MiB of a node), nothing wired, no fault plan and
+    /// quanta of 10–30 s: the touch phase runs whole iterations, as on
+    /// simbench's `resident`.
+    fn unpressured_cfg(rng: &mut agp_sim::SimRng) -> ClusterConfig {
+        let mut cfg = generated_cfg(rng);
+        cfg.mem_mib = 256;
+        cfg.wired_mib = 0;
+        cfg.quantum = SimDur::from_ms(rng.range(10_000, 30_001));
+        cfg.faults = None;
+        cfg
+    }
+
+    /// The check of [`observer_does_not_perturb_the_simulation`] on one
+    /// config.
+    fn assert_unperturbed(cfg: ClusterConfig) {
+        let plain = ClusterSim::new(cfg.clone()).and_then(ClusterSim::run);
+        let observed = crate::run_observed(
+            cfg.clone(),
+            &agp_obs::ObsLink::to(agp_obs::shared(agp_obs::Collector::new())),
+        );
+        let checked = ClusterSim::new(ClusterConfig {
+            check_invariants: true,
+            ..cfg
+        })
+        .and_then(ClusterSim::run)
+        .map(|r| RunResult {
+            invariant_checks: 0,
+            ..r
+        });
+        match (plain, observed, checked) {
+            (Ok(a), Ok(b), Ok(c)) => {
+                assert!(a == b, "observed run differs");
+                assert!(a == c, "checked run differs");
+            }
+            (Err(a), Err(b), Err(c)) => {
+                assert_eq!(a.to_string(), b.to_string());
+                assert_eq!(a.to_string(), c.to_string());
+            }
+            (a, b, c) => panic!(
+                "outcomes differ: {:?}, {:?}, {:?}",
+                a.err(),
+                b.err(),
+                c.err()
+            ),
+        }
+    }
+
     /// Neither running ahead, nor the bulk first touch, nor observation
     /// changes a run: the unobserved run (both under the lookahead bound
     /// unless the config has a fault plan), the observed run and the
@@ -1998,69 +2150,81 @@ mod tests {
     #[test]
     fn observer_does_not_perturb_the_simulation() {
         agp_sim::prop::check("observer_does_not_perturb_the_simulation", 16, |rng| {
-            let cfg = generated_cfg(rng);
-            let plain = ClusterSim::new(cfg.clone()).and_then(ClusterSim::run);
-            let observed = crate::run_observed(
-                cfg.clone(),
-                &agp_obs::ObsLink::to(agp_obs::shared(agp_obs::Collector::new())),
-            );
-            let checked = ClusterSim::new(ClusterConfig {
-                check_invariants: true,
-                ..cfg
-            })
-            .and_then(ClusterSim::run)
-            .map(|r| RunResult {
-                invariant_checks: 0,
-                ..r
-            });
-            match (plain, observed, checked) {
-                (Ok(a), Ok(b), Ok(c)) => {
-                    assert!(a == b, "observed run differs");
-                    assert!(a == c, "checked run differs");
-                }
-                (Err(a), Err(b), Err(c)) => {
-                    assert_eq!(a.to_string(), b.to_string());
-                    assert_eq!(a.to_string(), c.to_string());
-                }
-                (a, b, c) => panic!(
-                    "outcomes differ: {:?}, {:?}, {:?}",
-                    a.err(),
-                    b.err(),
-                    c.err()
-                ),
-            }
+            assert_unperturbed(generated_cfg(rng));
         });
+    }
+
+    /// [`observer_does_not_perturb_the_simulation`] on unpressured
+    /// configs, where the touch phase runs whole iterations ahead.
+    #[test]
+    fn observer_does_not_perturb_unpressured_runs() {
+        agp_sim::prop::check("observer_does_not_perturb_unpressured_runs", 8, |rng| {
+            assert_unperturbed(unpressured_cfg(rng));
+        });
+    }
+
+    /// The event count of two unwatched runs, pinned: an unpressured
+    /// IS.A×4 gang pair (nothing wired, 10 s quanta), whose touch phases
+    /// run whole iterations, and a pressured CG.A×2 `so/ao/ai/bg` pair.
+    /// Running ahead and batching change no count, but watched and
+    /// unwatched runs share the touch phase, so comparing them cannot
+    /// catch a miscount both make, and simbench's digest leaves `events`
+    /// out.
+    #[test]
+    fn unwatched_runs_count_every_event() {
+        let mut unpressured = ClusterConfig::paper_defaults(4);
+        unpressured.wired_mib = 0;
+        unpressured.quantum = SimDur::from_secs(10);
+        unpressured.trace_bucket = SimDur::from_secs(1);
+        let is = WorkloadSpec::parallel(Benchmark::IS, Class::A, 4);
+        unpressured.jobs = vec![
+            JobSpec::new("IS.A x4 #1", is),
+            JobSpec::new("IS.A x4 #2", is),
+        ];
+        let pressured = ClusterConfig {
+            policy: PolicyConfig::full(),
+            check_invariants: false,
+            ..parallel_cfg()
+        };
+        for (cfg, events) in [(unpressured, 81_932), (pressured, 50_922)] {
+            let r = ClusterSim::new(cfg).and_then(ClusterSim::run).unwrap();
+            assert_eq!(r.events, events);
+        }
     }
 
     /// A time limit cuts a run that runs ahead where it cuts one that
     /// does not: a two-node LU.A run past `max_sim_time` fails at the same
-    /// instant unwatched and observed.
+    /// instant unwatched and observed, whether the limit falls in the
+    /// first sweep's zero fills, which the bulk first touch takes, or
+    /// late in the run.
     #[test]
     fn run_ahead_stops_at_the_time_limit() {
-        let mut cfg = ClusterConfig::paper_defaults(2);
-        cfg.mem_mib = 64;
-        cfg.wired_mib = 24;
-        cfg.quantum = SimDur::from_secs(5);
-        let lu = WorkloadSpec::parallel(Benchmark::LU, Class::A, 2);
-        cfg.jobs = vec![
-            JobSpec::new("LU.A x2 #1", lu),
-            JobSpec::new("LU.A x2 #2", lu),
-        ];
-        cfg.max_sim_time = SimDur::from_ms(47_500);
-        let plain = ClusterSim::new(cfg.clone()).and_then(ClusterSim::run);
-        let observed = crate::run_observed(
-            cfg,
-            &agp_obs::ObsLink::to(agp_obs::shared(agp_obs::Collector::new())),
-        );
-        match (plain, observed) {
-            (
-                Err(SimError::SimTimeExceeded { at_us: a, .. }),
-                Err(SimError::SimTimeExceeded { at_us: b, .. }),
-            ) => {
-                assert_eq!(a, b);
-                assert!(a > 47_500_000, "{a}");
+        for limit_ms in [200, 47_500] {
+            let mut cfg = ClusterConfig::paper_defaults(2);
+            cfg.mem_mib = 64;
+            cfg.wired_mib = 24;
+            cfg.quantum = SimDur::from_secs(5);
+            let lu = WorkloadSpec::parallel(Benchmark::LU, Class::A, 2);
+            cfg.jobs = vec![
+                JobSpec::new("LU.A x2 #1", lu),
+                JobSpec::new("LU.A x2 #2", lu),
+            ];
+            cfg.max_sim_time = SimDur::from_ms(limit_ms);
+            let plain = ClusterSim::new(cfg.clone()).and_then(ClusterSim::run);
+            let observed = crate::run_observed(
+                cfg,
+                &agp_obs::ObsLink::to(agp_obs::shared(agp_obs::Collector::new())),
+            );
+            match (plain, observed) {
+                (
+                    Err(SimError::SimTimeExceeded { at_us: a, .. }),
+                    Err(SimError::SimTimeExceeded { at_us: b, .. }),
+                ) => {
+                    assert_eq!(a, b, "limit {limit_ms} ms");
+                    assert!(a > limit_ms * 1000, "{a}");
+                }
+                (a, b) => panic!("expected two time-limit errors: {a:?}, {b:?}"),
             }
-            (a, b) => panic!("expected two time-limit errors: {a:?}, {b:?}"),
         }
     }
 

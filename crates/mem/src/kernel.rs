@@ -395,7 +395,7 @@ impl Kernel {
     /// Touch page `p` of `pid` at `now`. On a hit, updates the reference
     /// bit, age, dirty bit and WSS accounting; on a miss, reports what the
     /// fault handler must do (state is not changed until
-    /// [`Kernel::map_in`]). A one-page [`Kernel::touch_run`].
+    /// [`Kernel::map_in`]). A one-page [`Toucher::touch_run`].
     pub fn touch(
         &mut self,
         pid: ProcId,
@@ -403,19 +403,12 @@ impl Kernel {
         write: bool,
         now: SimTime,
     ) -> Result<TouchOutcome, MemError> {
-        let (_, fault) = self.touch_pages(pid, p, 1, write, now)?;
+        let (_, fault) = self.toucher(pid)?.touch_run(p, 1, write, now)?;
         Ok(fault.unwrap_or(TouchOutcome::Hit))
     }
 
-    /// Touch up to `max` consecutive pages starting at `first`, stopping
-    /// at the first non-resident page. Returns `(hits, fault)` where
-    /// `hits` is the number of resident pages touched and `fault` is the
-    /// outcome for the first non-resident page, if one was reached within
-    /// the run.
-    ///
-    /// This is the executor's hot path (a class B LU run touches ~10⁷
-    /// pages): one process lookup per run, and the page table finds and
-    /// touches the resident prefix a word of pages at a time.
+    /// One [`Toucher::touch_run`] of `pid`, under the `mem.touch_run`
+    /// profiler span.
     pub fn touch_run(
         &mut self,
         pid: ProcId,
@@ -425,18 +418,11 @@ impl Kernel {
         now: SimTime,
     ) -> Result<(usize, Option<TouchOutcome>), MemError> {
         let _perf = agp_perf::scope(agp_perf::Span::MemTouch);
-        self.touch_pages(pid, first, max, write, now)
+        self.toucher(pid)?.touch_run(first, max, write, now)
     }
 
-    /// [`Kernel::touch_run`] without the profiler span.
-    fn touch_pages(
-        &mut self,
-        pid: ProcId,
-        first: PageNum,
-        max: usize,
-        write: bool,
-        now: SimTime,
-    ) -> Result<(usize, Option<TouchOutcome>), MemError> {
+    /// `pid`'s page table, looked up once for any number of touch runs.
+    pub fn toucher(&mut self, pid: ProcId) -> Result<Toucher<'_>, MemError> {
         let Kernel {
             procs,
             swap,
@@ -445,34 +431,13 @@ impl Kernel {
             ..
         } = self;
         let pm = procs.get_mut(&pid).ok_or(MemError::NoSuchProc(pid))?;
-        let end = first.idx() + max;
-        if max > 0 && end > pm.pt.len() {
-            return Err(MemError::BadPage(pid, PageNum((end - 1) as u32)));
-        }
-        let hits = pm.pt.resident_prefix(first, max);
-        if hits > 0 {
-            // A write makes any swap copy stale; drop it (the Linux swap
-            // cache frees the entry on write), so the invariant "dirty ⟹
-            // no swap copy" holds.
-            pm.wss_current += pm.pt.touch_resident(first, hits, now, write, |b, n| {
-                swap_owner.remove_run(b, n);
-                swap.free_extent(Extent::new(b, n));
-            });
-        }
-        if hits == max {
-            return Ok((hits, None));
-        }
-        let p = PageNum(first.0 + hits as u32);
-        let outcome = match pm.pt.block(p) {
-            Some(block) => TouchOutcome::NeedsSwapIn { block },
-            None => TouchOutcome::NeedsZeroFill,
-        };
-        obs.emit(now, || ObsEvent::PageFault {
-            pid: pid.0,
-            page: p.0,
-            major: outcome != TouchOutcome::NeedsZeroFill,
-        });
-        Ok((hits, Some(outcome)))
+        Ok(Toucher {
+            pid,
+            pm,
+            swap,
+            swap_owner,
+            obs,
+        })
     }
 
     /// Frames a bulk first touch may take: those above
@@ -945,6 +910,72 @@ impl Kernel {
             }
         }
         Ok(())
+    }
+}
+
+/// One process's page table and the swap state its touches free, from
+/// [`Kernel::toucher`]: the executor runs a rank's touch steps back to
+/// back through one handle, with one process lookup.
+pub struct Toucher<'a> {
+    pid: ProcId,
+    pm: &'a mut ProcMem,
+    swap: &'a mut SwapSpace,
+    swap_owner: &'a mut SwapOwners,
+    obs: &'a ObsLink,
+}
+
+impl Toucher<'_> {
+    /// Touch up to `max` consecutive pages starting at `first`, stopping
+    /// at the first non-resident page. Returns `(hits, fault)` where
+    /// `hits` is the number of resident pages touched and `fault` is the
+    /// outcome for the first non-resident page, if one was reached within
+    /// the run.
+    ///
+    /// This is the executor's hot path (a class B LU run touches ~10⁷
+    /// pages): the page table finds and touches the resident prefix a
+    /// word of pages at a time.
+    pub fn touch_run(
+        &mut self,
+        first: PageNum,
+        max: usize,
+        write: bool,
+        now: SimTime,
+    ) -> Result<(usize, Option<TouchOutcome>), MemError> {
+        let Toucher {
+            pid,
+            pm,
+            swap,
+            swap_owner,
+            obs,
+        } = self;
+        let end = first.idx() + max;
+        if max > 0 && end > pm.pt.len() {
+            return Err(MemError::BadPage(*pid, PageNum((end - 1) as u32)));
+        }
+        let hits = pm.pt.resident_prefix(first, max);
+        if hits > 0 {
+            // A write makes any swap copy stale; drop it (the Linux swap
+            // cache frees the entry on write), so the invariant "dirty ⟹
+            // no swap copy" holds.
+            pm.wss_current += pm.pt.touch_resident(first, hits, now, write, |b, n| {
+                swap_owner.remove_run(b, n);
+                swap.free_extent(Extent::new(b, n));
+            });
+        }
+        if hits == max {
+            return Ok((hits, None));
+        }
+        let p = PageNum(first.0 + hits as u32);
+        let outcome = match pm.pt.block(p) {
+            Some(block) => TouchOutcome::NeedsSwapIn { block },
+            None => TouchOutcome::NeedsZeroFill,
+        };
+        obs.emit(now, || ObsEvent::PageFault {
+            pid: pid.0,
+            page: p.0,
+            major: outcome != TouchOutcome::NeedsZeroFill,
+        });
+        Ok((hits, Some(outcome)))
     }
 }
 

@@ -36,7 +36,7 @@ pub mod ptable;
 pub mod swap;
 pub mod types;
 
-pub use kernel::{EvictOutcome, Kernel, MapInOutcome, TouchOutcome};
+pub use kernel::{EvictOutcome, Kernel, MapInOutcome, TouchOutcome, Toucher};
 pub use ptable::{PageState, PageTable, Resident};
 pub use swap::SwapSpace;
 pub use types::{MemError, PageNum, ProcId, VmParams};

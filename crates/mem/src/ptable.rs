@@ -420,14 +420,19 @@ impl PageTable {
         self.last_ref[range.clone()].fill(now);
         let mut fresh = 0;
         let mut freed = BlockRuns::new(stale);
+        // In steady state every page is in the epoch already and, on a
+        // write, dirty already: such a word costs one OR, with no popcount.
         for (w, m) in word_spans(range.start, range.end) {
             debug_assert_eq!(self.present[w] & m, m, "touch of a non-resident page");
-            fresh += (m & !self.seen[w]).count_ones() as usize;
-            self.seen[w] |= m;
             self.referenced[w] |= m;
-            if write {
-                let newly = m & !self.dirty[w];
-                self.dirty[w] |= m;
+            let new = m & !self.seen[w];
+            if new != 0 {
+                fresh += new.count_ones() as usize;
+                self.seen[w] |= new;
+            }
+            let newly = if write { m & !self.dirty[w] } else { 0 };
+            if newly != 0 {
+                self.dirty[w] |= newly;
                 self.dirty_resident += newly.count_ones() as usize;
                 for i in pages_of(w, newly) {
                     let copy = std::mem::replace(&mut self.block[i], NO_BLOCK);

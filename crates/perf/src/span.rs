@@ -33,7 +33,9 @@ pub enum Span {
     SimSample = 7,
     /// One coordinated gang switch (`do_switch`), whatever triggered it.
     SimSwitch = 8,
-    /// `Kernel::touch_run`: page-table walk + reference bookkeeping.
+    /// A touch phase (`ClusterSim::touch_phase`: a rank's touch steps run
+    /// back to back) or one `Kernel::touch_run`: page-table walk +
+    /// reference bookkeeping.
     MemTouch = 9,
     /// `PagingEngine::on_fault`: fault service planning (eviction,
     /// readahead, replay).

@@ -3,7 +3,8 @@
 //!
 //! The program is pull-based: the cluster executor calls
 //! [`ProcessProgram::next_step`] whenever the process is ready for more
-//! work. Steps for one iteration are generated lazily (scattered-touch
+//! work, or [`ProcessProgram::pop_touch`] while it runs touch steps back
+//! to back. Steps for one iteration are generated lazily (scattered-touch
 //! offsets draw from the program's own forked RNG), so the stream is
 //! reproducible from `(spec, rank, seed)` and costs no up-front memory.
 
@@ -118,6 +119,27 @@ impl ProcessProgram {
                 return None;
             }
         }
+    }
+
+    /// Pull the next step only if it is a `Touch`, generating the next
+    /// iteration when the queue is empty; `None` leaves any other step
+    /// queued for [`ProcessProgram::next_step`]. A `Touch` is never a
+    /// sync point, so a caller that pulls one needs no
+    /// [`ProcessProgram::at_sync`].
+    // Inlined across the crate boundary into the executor's touch loop:
+    // as a call it cost IS.B×4, which pulls a step per 4 pages, ~15 %.
+    #[inline]
+    pub fn pop_touch(&mut self) -> Option<Step> {
+        if self.queue.is_empty() && !self.generate() {
+            return None;
+        }
+        let s = *self.queue.front()?;
+        if !matches!(s, Step::Touch { .. }) {
+            return None;
+        }
+        self.queue.pop_front();
+        self.cpu_before_sync -= step_cpu(&s);
+        Some(s)
     }
 
     /// Whether the next step past any `EndIteration` markers is a
@@ -517,42 +539,96 @@ mod tests {
         assert_eq!(sweeps, 3);
     }
 
-    /// `cpu_before_sync` is a lower bound on the CPU of the steps left
-    /// before the next barrier or the end, and exact while they are all
-    /// queued: drained step by step for every benchmark, serial and on
-    /// four ranks, with `at_sync` generating some iterations early.
-    #[test]
-    fn cpu_before_sync_bounds_the_cpu_to_the_next_barrier() {
+    /// Every benchmark's program, serial and on four ranks (its last
+    /// rank), with its whole step stream and, per position k in it, the
+    /// exact CPU of the steps from k to the next `Barrier` or the end.
+    fn drained_programs() -> Vec<(ProcessProgram, Vec<Step>, Vec<SimDur>)> {
+        let mut out = Vec::new();
         for bench in Benchmark::ALL {
             for spec in [
                 WorkloadSpec::serial(bench, Class::A),
                 WorkloadSpec::parallel(bench, Class::A, 4),
             ] {
-                let mut p = ProcessProgram::new(spec, spec.nprocs - 1, 11);
+                let p = ProcessProgram::new(spec, spec.nprocs - 1, 11);
                 let mut all = p.clone();
                 let steps: Vec<Step> = std::iter::from_fn(|| all.next_step()).collect();
-                // exact[k]: CPU of steps[k..] up to the next Barrier.
                 let mut exact = vec![SimDur::ZERO; steps.len() + 1];
                 for k in (0..steps.len()).rev() {
                     if steps[k] != Step::Barrier {
                         exact[k] = step_cpu(&steps[k]) + exact[k + 1];
                     }
                 }
-                for (k, want) in exact.iter().enumerate() {
-                    let got = p.cpu_before_sync();
-                    let whole = p.queue.contains(&Step::Barrier) || p.next_iter > p.iters_total;
-                    assert!(got <= *want, "{spec} step {k}: {got} > {want}");
-                    if whole {
-                        assert_eq!(got, *want, "{spec} step {k}: not exact");
+                out.push((p, steps, exact));
+            }
+        }
+        out
+    }
+
+    /// `p`'s `cpu_before_sync` at position `k` of its stream: at most
+    /// `want`, the exact CPU to the next barrier or the end, and equal to
+    /// it while those steps are all queued.
+    fn check_cpu_before_sync(p: &ProcessProgram, k: usize, want: SimDur) {
+        let (spec, got) = (p.spec(), p.cpu_before_sync());
+        let whole = p.queue.contains(&Step::Barrier) || p.next_iter > p.iters_total;
+        assert!(got <= want, "{spec} step {k}: {got} > {want}");
+        if whole {
+            assert_eq!(got, want, "{spec} step {k}: not exact");
+        }
+    }
+
+    /// `cpu_before_sync` is a lower bound on the CPU of the steps left
+    /// before the next barrier or the end, and exact while they are all
+    /// queued: drained step by step for every benchmark, serial and on
+    /// four ranks, with `at_sync` generating some iterations early.
+    #[test]
+    fn cpu_before_sync_bounds_the_cpu_to_the_next_barrier() {
+        for (mut p, steps, exact) in drained_programs() {
+            for (k, want) in exact.iter().enumerate() {
+                check_cpu_before_sync(&p, k, *want);
+                if k % 3 == 0 {
+                    let sync = p.at_sync();
+                    let next = steps[k..]
+                        .iter()
+                        .find(|s| !matches!(s, Step::EndIteration(_)));
+                    assert_eq!(sync, next.is_none_or(|s| *s == Step::Barrier));
+                }
+                assert_eq!(p.next_step(), steps.get(k).copied());
+            }
+        }
+    }
+
+    /// `pop_touch` takes only a front `Touch`, leaves every other step
+    /// queued in order for `next_step`, generates the next iteration only
+    /// when the queue is empty, and keeps `cpu_before_sync` exact: every
+    /// benchmark's program drained with `pop_touch` tried first at two
+    /// positions in three and `next_step` alone at the third.
+    #[test]
+    fn pop_touch_takes_only_a_front_touch() {
+        for (mut p, steps, exact) in drained_programs() {
+            let spec = *p.spec();
+            for (k, want) in exact.iter().enumerate() {
+                check_cpu_before_sync(&p, k, *want);
+                let (queued, iter) = (p.queue.len(), p.next_iter);
+                let tried = k % 3 != 2;
+                let popped = if tried { p.pop_touch() } else { None };
+                let generated = p.next_iter != iter;
+                if tried {
+                    let due = queued == 0 && iter <= p.iters_total;
+                    assert_eq!(generated, due, "{spec} step {k}: generation");
+                }
+                let touch = matches!(steps.get(k), Some(Step::Touch { .. }));
+                match popped {
+                    Some(s) => {
+                        assert!(touch, "{spec} step {k}: popped {s:?}");
+                        assert_eq!(Some(s), steps.get(k).copied(), "{spec} step {k}");
                     }
-                    if k % 3 == 0 {
-                        let sync = p.at_sync();
-                        let next = steps[k..]
-                            .iter()
-                            .find(|s| !matches!(s, Step::EndIteration(_)));
-                        assert_eq!(sync, next.is_none_or(|s| *s == Step::Barrier));
+                    None => {
+                        assert!(!(tried && touch), "{spec} step {k}: a front Touch stayed");
+                        if !generated {
+                            assert_eq!(p.queue.len(), queued, "{spec} step {k}: queue changed");
+                        }
+                        assert_eq!(p.next_step(), steps.get(k).copied(), "{spec} step {k}");
                     }
-                    assert_eq!(p.next_step(), steps.get(k).copied());
                 }
             }
         }

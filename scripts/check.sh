@@ -4,6 +4,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Building simbench appends `[[patch.unused]]` tables to its tracked
+# Cargo.lock (its crates.io stand-ins are unused): put the file back on
+# exit, so a gate run leaves the tree as it found it.
+lock="$(mktemp)"
+cp simbench/Cargo.lock "$lock"
+trap 'cp "$lock" simbench/Cargo.lock; rm -f "$lock"' EXIT
+
 # Benchmark digest gate, the quickest byte-identity check, so it runs
 # first: one pass of every workload must reproduce its golden digest
 # ("correct":true). Each workload's result line goes to the log, so every
